@@ -5,7 +5,8 @@ Builds random band-limited radiation profiles, pulls them back to
 initial data, and compares the two sides of the exterior-energy
 identity: extrapolated forward plus backward exterior energies against
 twice the squared radiation tail.  Also runs one basis-backed data set
-for which both sides must vanish.
+for which both sides must vanish.  The acceptance suite draws its
+channel-identity data with the same two fixtures below.
 """
 
 import argparse

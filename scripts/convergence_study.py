@@ -6,7 +6,7 @@ Oracle B: the closed-form chain solution for (d, nu) = (7, 0), k = 2,
 checked outside the influence cone of the interior blend.
 
 Prints max-norm errors and successive ratios for a resolution ladder;
-second-order schemes should show ratios near 4.
+the second-order leapfrog scheme should show ratios near 4.
 """
 
 import argparse
@@ -21,7 +21,6 @@ import wavechannel.radial_solver as rs
 @dataclass
 class StudyConfig:
     resolutions: list[int] = field(default_factory=lambda: [201, 401, 801, 1601])
-    scheme: str = "leapfrog"
     t_final: float = 3.0
 
 
@@ -38,10 +37,7 @@ def dalembert_exact(r: np.ndarray, t: float) -> np.ndarray:
 
 
 def dalembert_error(n_r: int, cfg: StudyConfig) -> float:
-    config = rs.SolverConfig(
-        r_max=20.0, n_r=n_r, t_final=cfg.t_final, scheme=cfg.scheme,
-        store_every=10**9,
-    )
+    config = rs.SolverConfig(r_max=20.0, n_r=n_r, t_final=cfg.t_final, store_every=10**9)
     fld = rs.field_from_callables(
         config, lambda r: np.exp(-(r**2)), lambda r: np.zeros_like(r), lifted_dim=3
     )
@@ -55,9 +51,7 @@ def dalembert_error(n_r: int, cfg: StudyConfig) -> float:
 
 def chain_error(n_r: int, cfg: StudyConfig) -> float:
     data = eb.build_exterior_mode(eb.ModeSpec(7, 0), 1.0, A=[0.0, 1.0], B=[0.0])
-    config = rs.SolverConfig(
-        r_max=14.0, n_r=n_r, t_final=2.0, scheme=cfg.scheme, store_every=10**9
-    )
+    config = rs.SolverConfig(r_max=14.0, n_r=n_r, t_final=2.0, store_every=10**9)
     fld = rs.lifted_field_from_mode(data, config)
     traj = rs.solve_mode_linear(fld, config)
     t_end = float(traj.times[-1])
@@ -79,13 +73,12 @@ def table(name, errors, resolutions) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scheme", choices=rs.SCHEMES, default=StudyConfig.scheme)
     parser.add_argument(
         "--resolutions", type=int, nargs="+",
         default=StudyConfig().resolutions,
     )
     args = parser.parse_args(argv)
-    cfg = StudyConfig(resolutions=args.resolutions, scheme=args.scheme)
+    cfg = StudyConfig(resolutions=args.resolutions)
 
     table(
         "gaussian vs d'Alembert",

@@ -14,9 +14,6 @@ polylib
 exterior_basis
     Mode specifications and the exterior data families, with exact
     norm identities and decay-bound checks.
-sphere3
-    Real spherical harmonics on the 2-sphere, product quadrature
-    grids, and mode analysis / synthesis of sampled fields.
 exact_evolution
     Closed-form coefficient-chain evolutions of the exterior families
     and exact exterior cone energies.

@@ -5,7 +5,8 @@ Each accepts a JSON config file (--config), validated against the
 schemas shipped in wavechannel/schemas with unknown keys rejected;
 explicit flags override config values.  Artifacts are a JSON report
 (<out>.json, also echoed to stdout) plus subcommand-specific CSV
-tables, written atomically.  Relative output paths resolve against
+tables, written atomically; a run whose config file is named like one
+of its <out>.* artifacts is refused.  Relative output paths resolve against
 $WAVECHANNEL_OUTDIR when it is set.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure
@@ -139,6 +140,18 @@ def _load_config(path: str) -> dict:
     return loaded
 
 
+def _check_config_survives(config_path: Optional[str], base: Path) -> None:
+    """Refuse a run whose <out>.* artifacts would replace its own config file."""
+    if config_path is None:
+        return
+    cfg = Path(config_path).resolve()
+    if cfg.parent == base.parent.resolve() and cfg.name.startswith(base.name + "."):
+        raise UsageError(
+            f"config file {config_path} would be overwritten by the artifacts "
+            f"{base.name}.*; choose another --out or config file name"
+        )
+
+
 def _numerical_guard(fn: Callable[[], Any]) -> Any:
     try:
         return fn()
@@ -182,7 +195,6 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
         "n_r": 801,
         "t_final": 4.0,
         "cfl": 0.45,
-        "scheme": "leapfrog",
         "store_every": 100,
         "exact": False,
         "frames": 9,
@@ -307,7 +319,6 @@ def _build_parser() -> _Parser:
     _add_data_flags(p)
     _add_gaussian_flag(p)
     _add_grid_flags(p)
-    p.add_argument("--scheme", choices=rs.SCHEMES)
     p.add_argument("--exact", action="store_const", const=True, help="closed-form evolution")
     p.add_argument("--frames", type=int, help="stored times for --exact")
     _add_common(p)
@@ -497,7 +508,7 @@ def _run_evolve(cfg: dict, base: Path) -> dict:
             "rows": len(rows),
             "csv": csv_path.name,
         }
-    config = _solver_config(cfg, scheme=cfg["scheme"])
+    config = _solver_config(cfg)
     fld = _field_from_cfg(cfg, config)
     traj = rs.solve_mode_linear(fld, config)
     rows = [
@@ -678,6 +689,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         cfg = _effective_config(sub, args)
         base = _resolve_base(cfg["out"])
+        _check_config_survives(args.config, base)
         body = _HANDLERS[sub](cfg, base)
         sys.stdout.write(_emit(sub, cfg, body, base, "report"))
         return 0

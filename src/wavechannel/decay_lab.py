@@ -14,7 +14,7 @@ emitted as a log-log decay report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -349,12 +349,8 @@ def nonlinear_decay_pipeline(
         r_min=float(r[0]),
         nonlinearity=nonlinearity,
     )
-    dt = config.dt
-    # mirror of the stepper's stride rounding, to size the grid check
-    n_raw = max(1, int(round(t_final / dt)))
-    stride = max(1, n_raw // max(1, snapshots))
-    n_steps = stride * math.ceil(n_raw / stride)
-    t_end = n_steps * dt
+    config = replace(config, store_every=max(1, config.raw_steps // max(1, snapshots)))
+    t_end = config.n_steps * config.dt
     c0 = float(probes[-1]) + 2.0 * t_end + 2.0 * data.dr
     c1 = c0 + cutoff_width
     required = c1 + 2.0 * t_end / config.cfl + 2.0 * data.dr
@@ -363,14 +359,6 @@ def nonlinear_decay_pipeline(
             f"grid too small for the compactified nonlinear stage; "
             f"need r_max >= {required:.3f}"
         )
-    config = SolverConfig(
-        r_max=config.r_max,
-        n_r=config.n_r,
-        t_final=t_final,
-        r_min=config.r_min,
-        nonlinearity=nonlinearity,
-        store_every=stride,
-    )
     s = np.clip((r - c0) / (c1 - c0), 0.0, 1.0)
     chi = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
     cut = RadialGridField(r=r, u=data.u * chi, ut=data.ut * chi, lifted_dim=3)

@@ -182,6 +182,25 @@ class ConeEnergyTerm:
         return self.t_power + self.base_power
 
 
+def _collect_energy(
+    families: Iterable[Sequence[tuple]], D: int, zero
+) -> list[tuple]:
+    """Sorted nonzero (coeff, t_power, rho_power) of int_rho^inf f^2 r^(D-1) dr.
+
+    Each family holds the (coeff, t_power, r_power) monomials of one
+    derivative (u_t or u_r); its square is integrated term by term.
+    `zero` starts every sum, so coefficients stay floats or Fractions.
+    """
+    acc: dict[tuple[int, int], object] = {}
+    for family in families:
+        for (c1, a1, b1), (c2, a2, b2) in product(family, family):
+            m = b1 + b2 + D
+            assert m < 0, "divergent exterior integral: inadmissible exponent"
+            key = (a1 + a2, m)
+            acc[key] = acc.get(key, zero) + c1 * c2 / (-m)
+    return [(c, a, m) for (a, m), c in sorted(acc.items()) if c != 0]
+
+
 def _energy_terms(
     terms: Sequence[tuple[float, ChainSolution]]
 ) -> tuple[int, tuple[tuple[float, int, int], ...]]:
@@ -198,15 +217,7 @@ def _energy_terms(
         ut_terms, ur_terms = _derivative_monomials(sol)
         ut_all.extend((weight * float(c), a, b) for c, a, b in ut_terms)
         ur_all.extend((weight * float(c), a, b) for c, a, b in ur_terms)
-    acc: dict[tuple[int, int], float] = {}
-    for family in (ut_all, ur_all):
-        for (c1, a1, b1), (c2, a2, b2) in product(family, family):
-            m = b1 + b2 + D
-            assert m < 0, "divergent exterior integral: inadmissible exponent"
-            key = (a1 + a2, m)
-            acc[key] = acc.get(key, 0.0) + c1 * c2 / (-m)
-    collected = tuple((c, a, m) for (a, m), c in sorted(acc.items()) if c != 0.0)
-    return D, collected
+    return D, tuple(_collect_energy((ut_all, ur_all), D, 0.0))
 
 
 def cone_energy_terms(sol: ChainSolution) -> tuple[ConeEnergyTerm, ...]:
@@ -216,19 +227,9 @@ def cone_energy_terms(sol: ChainSolution) -> tuple[ConeEnergyTerm, ...]:
     base_power <= -1; the growth exponents certify the limit at
     infinity symbolically.
     """
-    D = sol.lifted_dim
-    ut_terms, ur_terms = _derivative_monomials(sol)
-    acc: dict[tuple[int, int], Fraction] = {}
-    for family in (ut_terms, ur_terms):
-        for (c1, a1, b1), (c2, a2, b2) in product(family, family):
-            m = b1 + b2 + D
-            assert m < 0, "divergent exterior integral: inadmissible exponent"
-            key = (a1 + a2, m)
-            acc[key] = acc.get(key, Fraction(0)) + c1 * c2 / (-m)
     return tuple(
         ConeEnergyTerm(coeff=c, t_power=a, base_power=m)
-        for (a, m), c in sorted(acc.items())
-        if c != 0
+        for c, a, m in _collect_energy(_derivative_monomials(sol), sol.lifted_dim, Fraction(0))
     )
 
 

@@ -408,35 +408,55 @@ def _strip_content(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
-def _sturm_chain(p: Poly) -> list[list[int]]:
-    """Signed remainder chain with integer coefficients.
+def _poly_divmod(
+    a: list[Fraction], b: list[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a / b, coefficients lowest degree first."""
+    quot = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    rem = list(a)
+    while len(rem) >= len(b) and any(c != 0 for c in rem):
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        q = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quot[shift] = q
+        for i, bc in enumerate(b):
+            rem[shift + i] -= q * bc
+        rem.pop()
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
 
-    Division is done in Fraction arithmetic per step and re-scaled to a
-    content-free integer polynomial with the correct sign; degree <= 15
-    keeps this cheap.
-    """
-    f = [Fraction(c) for c in _int_coeffs(p)]
+
+def _remainder_chain(f: list[Fraction]) -> list[list[Fraction]]:
+    """f, f' and the negated remainders, down to the last nonzero one."""
     fp = [i * c for i, c in enumerate(f)][1:] or [Fraction(0)]
     chain = [f, fp]
     while len(chain[-1]) > 1 or (len(chain[-1]) == 1 and chain[-1][0] != 0):
         a, b = chain[-2], chain[-1]
         if len(b) == 1:
             break
-        rem = list(a)
-        while len(rem) >= len(b) and any(c != 0 for c in rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            q = rem[-1] / b[-1]
-            shift = len(rem) - len(b)
-            for i, bc in enumerate(b):
-                rem[shift + i] -= q * bc
-            rem.pop()
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
+        rem = _poly_divmod(a, b)[1]
         if len(rem) == 1 and rem[0] == 0:
             break
         chain.append([-c for c in rem])
+    return chain
+
+
+def _sturm_chain(p: Poly) -> list[list[int]]:
+    """Signed remainder chain of the square-free part, integer coefficients.
+
+    Division is done in Fraction arithmetic per step and re-scaled to a
+    content-free integer polynomial with the correct sign; degree <= 15
+    keeps this cheap.  A non-constant last remainder is gcd(p, p'):
+    sign counts at one of its roots (a multiple root of p) miss roots,
+    so the chain is rebuilt from p / gcd(p, p').
+    """
+    f = [Fraction(c) for c in _int_coeffs(p)]
+    chain = _remainder_chain(f)
+    if len(chain[-1]) > 1:
+        chain = _remainder_chain(_poly_divmod(f, chain[-1])[0])
     # normalize each to content-free ints (positive scaling only)
     out = []
     for f in chain:

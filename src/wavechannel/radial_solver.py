@@ -5,9 +5,9 @@ Two equations are covered on a uniform radial grid:
     lifted linear:  u_tt = u_rr + ((D-1)/r) u_r            (any D >= 2)
     radial quintic: u_tt = u_rr + (2/r) u_r + F(u),  d = 3, |F(u)| <= C|u|^5
 
-The default scheme is leapfrog in time with centered second-order
-space.  At r = 0 regular data is evolved through the even-parity limit
-of the operator (D * u_rr); a positive r_min uses one-sided stencils
+The scheme is leapfrog in time with centered second-order space.  At
+r = 0 regular data is evolved through the even-parity limit of the
+operator (D * u_rr); a positive r_min uses one-sided stencils
 instead.  The outer edge is closed either by exact ghost values from an
 ExteriorDescriptor (basis data evolves in closed form, so the boundary
 is not an approximation at all) or by quadratic extrapolation, in which
@@ -29,10 +29,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exact_evolution import ExteriorDescriptor, descriptor_for_mode
-from .exterior_basis import ExteriorModeData, ModeSpec
+from .exterior_basis import ExteriorModeData, ModeSpec, build_exterior_mode, eval_extended
 
-SCHEMES = ("leapfrog", "rk4_mol")
-NONLINEARITIES = ("none", "defocusing_quintic", "focusing_quintic", "custom")
+NONLINEARITIES = ("none", "defocusing_quintic", "focusing_quintic")
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,7 @@ class SolverConfig:
     t_final: float
     r_min: float = 0.0
     cfl: float = 0.45
-    scheme: str = "leapfrog"
     nonlinearity: str = "none"
-    custom_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    custom_c: Optional[float] = None
     store_every: int = 1
     blowup_threshold: float = 1e8
 
@@ -65,15 +62,10 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
         if not self.t_final > 0:
             raise ValueError("t_final must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(
                 f"nonlinearity must be one of {NONLINEARITIES}, got {self.nonlinearity!r}"
             )
-        if self.nonlinearity == "custom":
-            if self.custom_f is None or self.custom_c is None:
-                raise ValueError("custom nonlinearity needs custom_f and its constant custom_c")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
 
@@ -85,8 +77,37 @@ class SolverConfig:
     def dt(self) -> float:
         return self.cfl * self.dr
 
+    @property
+    def raw_steps(self) -> int:
+        """Number of steps of size dt closest to t_final (at least one)."""
+        return max(1, int(round(self.t_final / self.dt)))
+
+    @property
+    def stride(self) -> int:
+        """Steps between stored snapshots."""
+        return min(self.store_every, self.raw_steps)
+
+    @property
+    def n_steps(self) -> int:
+        """Steps taken: whole strides, so the snapshot cadence is uniform."""
+        return self.stride * math.ceil(self.raw_steps / self.stride)
+
     def radial_grid(self) -> np.ndarray:
         return np.linspace(self.r_min, self.r_max, self.n_r)
+
+
+def uniform_step(r: np.ndarray) -> float:
+    """Step of a uniform increasing grid; ValueError for any other grid.
+
+    Building a grid rounds each node by a few eps * max|r|, so steps
+    may differ by that much.
+    """
+    steps = np.diff(r)
+    h = float(steps[0])
+    tol = 1e-9 * abs(h) + 64.0 * _EPS * max(abs(float(r[0])), abs(float(r[-1])))
+    if not (steps.min() > 0 and np.max(np.abs(steps - h)) <= tol):
+        raise ValueError("radial grid must be uniform and increasing")
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +128,7 @@ class RadialGridField:
             object.__setattr__(self, name, arr)
         if r.ndim != 1 or r.size < 2:
             raise ValueError("radial grid must be a 1-d array with >= 2 nodes")
-        steps = np.diff(r)
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0) or steps[0] <= 0:
-            raise ValueError("radial grid must be uniform and increasing")
+        uniform_step(r)
         if r[0] < 0:
             raise ValueError("radial grid must start at r >= 0")
         if u.shape != r.shape or ut.shape != r.shape:
@@ -195,41 +214,22 @@ def field_from_callables(
 def lifted_field_from_mode(data: ExteriorModeData, config: SolverConfig) -> RadialGridField:
     """Sample the mode's lifted profile, blending C1-smoothly inside R.
 
-    The blend acts on the lifted profile (not the raw coefficient), so
-    the sampled data is even and regular at the origin in the lifted
-    dimension D = d + 2 nu.  Outside R it is the exact power-law data;
-    finite speed keeps exterior-cone quantities extension-independent.
+    The lifted profile of a degree-nu mode in dimension d is the radial
+    (D, 0) mode with the same coefficients, D = d + 2 nu, so its
+    eval_extended blend is even and regular at the origin in D.
+    Outside R it is the exact power-law data; finite speed keeps
+    exterior-cone quantities extension-independent.
     """
-    spec = data.spec
-    nu, mu, R = spec.nu, spec.mu, data.R
-    if config.r_max <= R:
+    if config.r_max <= data.R:
         raise ValueError("grid must extend past the data radius R")
-    p = data.position_poly().to_float()
-    q = data.velocity_poly().to_float()
-    zR = 1.0 / R
-    u0R = R ** (-mu) * p(zR)
-    du0R = R ** (-mu - 1) * (-mu * p(zR) - zR * p.deriv()(zR))
-    u1R = R ** (-mu - 1) * q(zR)
-    du1R = R ** (-mu - 2) * (-(mu + 1) * q(zR) - zR * q.deriv()(zR))
-    # lifted values w = r^-nu * coefficient and their radial slopes at R
-    w0R = R ** (-nu) * u0R
-    dw0R = R ** (-nu) * (du0R - nu * u0R / R)
-    w1R = R ** (-nu) * u1R
-    dw1R = R ** (-nu) * (du1R - nu * u1R / R)
-    b0, b1 = dw0R / (2 * R), dw1R / (2 * R)
-    a0, a1 = w0R - b0 * R**2, w1R - b1 * R**2
-
+    radial = build_exterior_mode(ModeSpec(data.spec.lifted_dim, 0), data.R, data.A, data.B)
     r = config.radial_grid()
-    outside = r >= R
-    safe = np.where(outside, r, R)
-    z = 1.0 / safe
-    u = np.where(outside, safe ** (-mu - nu) * p(z), a0 + b0 * r**2)
-    ut = np.where(outside, safe ** (-mu - 1 - nu) * q(z), a1 + b1 * r**2)
+    vals = eval_extended(radial, r)
     return RadialGridField(
         r=r,
-        u=u,
-        ut=ut,
-        lifted_dim=spec.lifted_dim,
+        u=vals.u0,
+        ut=vals.u1,
+        lifted_dim=data.spec.lifted_dim,
         descriptor=descriptor_for_mode(data),
     )
 
@@ -249,7 +249,7 @@ def gaussian_bump(
 
 
 # ---------------------------------------------------------------------------
-# schemes
+# stepping
 
 
 def _nonlinear_term(config: SolverConfig) -> Callable[[np.ndarray], np.ndarray]:
@@ -257,9 +257,7 @@ def _nonlinear_term(config: SolverConfig) -> Callable[[np.ndarray], np.ndarray]:
         return lambda u: 0.0
     if config.nonlinearity == "defocusing_quintic":
         return lambda u: -(u**5)
-    if config.nonlinearity == "focusing_quintic":
-        return lambda u: u**5
-    return config.custom_f
+    return lambda u: u**5  # focusing_quintic
 
 
 def _ghost_value(
@@ -308,10 +306,7 @@ def _solve(initial: RadialGridField, config: SolverConfig, spec: ModeSpec) -> Tr
             f"cfl={config.cfl} is unstable for lifted dimension {D}; "
             f"the origin closure requires cfl <= sqrt(2/D) = {math.sqrt(2.0 / D):.4f}"
         )
-    # whole number of stored strides, so the snapshot cadence is uniform
-    n_raw = max(1, int(round(config.t_final / dt)))
-    stride = min(config.store_every, n_raw)
-    n_steps = stride * math.ceil(n_raw / stride)
+    stride, n_steps = config.stride, config.n_steps
     F = _nonlinear_term(config)
 
     def rhs(u: np.ndarray, t: float) -> np.ndarray:
@@ -319,49 +314,27 @@ def _solve(initial: RadialGridField, config: SolverConfig, spec: ModeSpec) -> Tr
 
     stored_t: list[float] = [0.0]
     stored: list[RadialGridField] = [initial]
-    blown_up = False
-
-    def snap(t: float, u: np.ndarray, ut: np.ndarray) -> None:
-        stored_t.append(t)
-        stored.append(
-            RadialGridField(r=r, u=u.copy(), ut=ut.copy(), lifted_dim=D, descriptor=desc)
-        )
 
     def healthy(u: np.ndarray) -> bool:
         return bool(np.all(np.isfinite(u)) and np.max(np.abs(u)) <= config.blowup_threshold)
 
-    if config.scheme == "leapfrog":
-        u_prev = initial.u.copy()
-        u_curr = u_prev + dt * initial.ut + 0.5 * dt**2 * rhs(u_prev, 0.0)
-        if not healthy(u_curr):
+    u_prev = initial.u.copy()
+    u_curr = u_prev + dt * initial.ut + 0.5 * dt**2 * rhs(u_prev, 0.0)
+    blown_up = not healthy(u_curr)
+    n = 1
+    while n <= n_steps and not blown_up:
+        u_next = 2 * u_curr - u_prev + dt**2 * rhs(u_curr, n * dt)
+        if not healthy(u_next):
             blown_up = True
-            n_steps = 0
-        n = 1
-        while n <= n_steps and not blown_up:
-            u_next = 2 * u_curr - u_prev + dt**2 * rhs(u_curr, n * dt)
-            if not healthy(u_next):
-                blown_up = True
-                break
-            if n % stride == 0:
-                snap(n * dt, u_curr, (u_next - u_prev) / (2 * dt))
-            u_prev, u_curr = u_curr, u_next
-            n += 1
-    else:  # rk4_mol
-        u = initial.u.copy()
-        v = initial.ut.copy()
-        for n in range(1, n_steps + 1):
-            t = (n - 1) * dt
-            k1u, k1v = v, rhs(u, t)
-            k2u, k2v = v + 0.5 * dt * k1v, rhs(u + 0.5 * dt * k1u, t + 0.5 * dt)
-            k3u, k3v = v + 0.5 * dt * k2v, rhs(u + 0.5 * dt * k2u, t + 0.5 * dt)
-            k4u, k4v = v + dt * k3v, rhs(u + dt * k3u, t + dt)
-            u = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-            v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            if not healthy(u):
-                blown_up = True
-                break
-            if n % stride == 0:
-                snap(n * dt, u, v)
+            break
+        if n % stride == 0:
+            ut = (u_next - u_prev) / (2 * dt)
+            stored_t.append(n * dt)
+            stored.append(
+                RadialGridField(r=r, u=u_curr.copy(), ut=ut, lifted_dim=D, descriptor=desc)
+            )
+        u_prev, u_curr = u_curr, u_next
+        n += 1
 
     return Trajectory(
         times=np.asarray(stored_t),

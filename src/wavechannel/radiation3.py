@@ -14,14 +14,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy import integrate
 
 from .exact_evolution import ExteriorDescriptor
 from .exterior_basis import ExteriorModeData, eval_extended
-from .radial_solver import RadialGridField, SolverConfig, Trajectory, cone_energy, solve_mode_linear
+from .radial_solver import (
+    RadialGridField,
+    SolverConfig,
+    Trajectory,
+    cone_energy,
+    solve_mode_linear,
+    uniform_step,
+)
+
+ArrayLike = Union[float, np.ndarray]
 
 # Doubled-energy ratio int (u0'^2 + u1^2) r^2 dr / (2 int g^2 ds), exact
 # for finite-energy data; frozen and enforced by a regression test.
@@ -124,17 +133,13 @@ def forward_map(
     r = np.asarray(r, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    steps = np.diff(r)
-    if r.ndim != 1 or r.size < 6 or not np.all(steps > 0):
-        raise ValueError("need an increasing 1-d radial grid with >= 6 nodes")
-    # rounding of grid construction jitters steps by ~eps * r_max
-    slack = 64.0 * np.finfo(float).eps * max(abs(float(r[0])), abs(float(r[-1])))
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=slack):
-        raise ValueError("radial grid must be uniform")
+    if r.ndim != 1 or r.size < 6:
+        raise ValueError("need a 1-d radial grid with >= 6 nodes")
+    dr = uniform_step(r)
     if r[0] < 0:
         raise ValueError("radial grid must start at r >= 0")
     if du0 is None:
-        w0p = _gradient4(r * u0, float(steps[0]))
+        w0p = _gradient4(r * u0, dr)
     else:
         w0p = u0 + r * np.asarray(du0, dtype=float)
     w1 = r * u1
@@ -295,13 +300,15 @@ def isometry_ratio(
     return data_norm2(r, u0, u1, du0=du0) / denom
 
 
-def extrapolate_to_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
+def extrapolate_to_zero(xs: Sequence[float], ys: Sequence[ArrayLike]) -> ArrayLike:
     """Lagrange value at x = 0 of the polynomial through (xs, ys).
 
-    Used as Richardson extrapolation with x = 1/t on energy samples.
+    Used as Richardson extrapolation with x = 1/t.  Each y may be a
+    float or an array of samples (all of one shape), extrapolated
+    pointwise.
     """
     xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
+    ys = [np.asarray(y, dtype=float) for y in ys]
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need matching xs and ys with at least two nodes")
     if len(set(xs)) != len(xs):
@@ -313,7 +320,7 @@ def extrapolate_to_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
             if k != j:
                 w *= xk / (xk - xj)
         total += w * yj
-    return total
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def extrapolated_exterior_energy(
@@ -329,13 +336,14 @@ def extrapolated_exterior_energy(
     return extrapolate_to_zero([1.0 / t for t in ts], [energy(t) for t in ts])
 
 
-def _series_lookup(times: np.ndarray, values: np.ndarray, t: float, dt: float) -> float:
+def _snapshot_index(times: np.ndarray, t: float, dt: float) -> int:
+    """Index of the stored time within about half a stride dt of t."""
     idx = int(np.argmin(np.abs(times - t)))
     if abs(float(times[idx]) - t) > 0.51 * dt:
         raise ValueError(
             f"no stored snapshot near t={t:g}; adjust store_every/t_final"
         )
-    return float(values[idx])
+    return idx
 
 
 @dataclass(frozen=True)
@@ -389,7 +397,7 @@ def channel_identity_check(
         traj = solve_mode_linear(data, config)
         series = cone_energy(traj, R)
         dt_store = float(traj.times[1] - traj.times[0]) if traj.times.size > 1 else config.dt
-        es = [_series_lookup(traj.times, series.values, t, dt_store) for t in t_nodes]
+        es = [series.values[_snapshot_index(traj.times, t, dt_store)] for t in t_nodes]
         return extrapolate_to_zero([1.0 / t for t in t_nodes], es)
 
     e_plus = limit_for(1.0)
@@ -434,20 +442,10 @@ def numeric_future_profile(
     if s_hi - s_lo < 0.1 * (r[-1] - r[0]) and s_min is None and s_max is None:
         raise ValueError("clean regions too small to extract a radiation window")
     s = np.linspace(s_lo, s_hi, n_s)
-    samples = []
+    xs, samples = [], []
     for t in node_ts:
-        idx = int(np.argmin(np.abs(traj.times - t)))
-        if abs(float(traj.times[idx]) - t) > 0.51 * max(dt_store, 1e-300):
-            raise ValueError(f"no stored snapshot near t={t:g}")
-        f = traj.fields[idx]
+        idx = _snapshot_index(traj.times, t, max(dt_store, 1e-300))
         t_i = float(traj.times[idx])
-        samples.append((1.0 / t_i, np.interp(s + t_i, r, r * f.ut)))
-    xs = [x for x, _ in samples]
-    g = np.zeros_like(s)
-    for j, (xj, fj) in enumerate(samples):
-        w = 1.0
-        for k, (xk, _) in enumerate(samples):
-            if k != j:
-                w *= xk / (xk - xj)
-        g += w * fj
-    return RadiationProfile(s=s, g=g)
+        xs.append(1.0 / t_i)
+        samples.append(np.interp(s + t_i, r, r * traj.fields[idx].ut))
+    return RadiationProfile(s=s, g=extrapolate_to_zero(xs, samples))

@@ -8,8 +8,10 @@ run the full advertised sizes (1000 exact lemma trials per variant,
 """
 
 import math
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ import wavechannel.polylib as pl
 import wavechannel.radial_solver as rs
 import wavechannel.radiation3 as rad
 from oracles import exterior_norms_quadrature
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from channel_balance import band_limited_profile, snapped_config  # noqa: E402
 
 
 def ok(n: int, msg: str) -> None:
@@ -41,30 +46,6 @@ def compact_bump(config, amplitude=0.5, support=4.0, lifted_dim=3):
     u = amplitude * (1 - s**2) ** 4
     return rs.RadialGridField(
         r=r, u=u, ut=np.zeros_like(r), lifted_dim=lifted_dim, descriptor=None
-    )
-
-
-def band_limited_profile(rng, half_width=12.0, n=4801, zero_mean=False):
-    s = np.linspace(-half_width, half_width, n)
-    g = np.zeros_like(s)
-    for k in range(1, 6):
-        a, b = rng.normal(size=2)
-        g += a * np.cos(0.5 * k * s) + b * np.sin(0.5 * k * s)
-    g *= np.exp(-((s / 3.0) ** 2))
-    if zero_mean:
-        env = np.exp(-((s / 3.0) ** 2))
-        g -= np.trapezoid(g, x=s) * env / np.trapezoid(env, x=s)
-    return rad.RadiationProfile(s=s, g=g)
-
-
-def snapped_config(r_max, n_r, t_final, **kw):
-    """Config whose dt divides t_final/8, so dyadic times are stored."""
-    dr = r_max / (n_r - 1)
-    n_total = 8 * math.ceil(t_final / (8 * 0.45 * dr))
-    dt = t_final / n_total
-    return rs.SolverConfig(
-        r_max=r_max, n_r=n_r, t_final=t_final, cfl=dt / dr,
-        store_every=n_total // 8, **kw
     )
 
 
@@ -227,7 +208,7 @@ class TestCriterion07ChannelIdentity:
         r = cfg.radial_grid()
         worst = 0.0
         for _ in range(20):
-            p = band_limited_profile(rng, zero_mean=True)
+            p = band_limited_profile(rng)
             data = rad.inverse_map(p)
             u0 = np.interp(r, data.r, data.u0, left=0.0, right=0.0)
             u0[0] = 2.0 * np.interp(0.0, p.s, p.g)
@@ -259,7 +240,7 @@ def test_criterion_08_radiation_isometry_and_round_trip():
     worst_iso = 0.0
     worst_rt = 0.0
     for _ in range(50):
-        p = band_limited_profile(rng, zero_mean=True)
+        p = band_limited_profile(rng)
         data = rad.inverse_map(p)
         ratio = rad.isometry_ratio(data.r, data.u0, data.u1)
         worst_iso = max(worst_iso, abs(ratio - 1.0))

@@ -176,6 +176,14 @@ class TestEvolve:
         assert len(np.unique(table[:, 0])) == rep["stored_times"]
         assert table.shape[1] == 4
 
+    def test_scheme_is_no_longer_an_option(self, outdir, capsys):
+        cfg = outdir / "old.json"
+        cfg.write_text(json.dumps({"scheme": "leapfrog"}))
+        assert run(["evolve", "--config", str(cfg)]) == 1
+        assert "scheme" in capsys.readouterr().err
+        assert run(["evolve", "--scheme", "leapfrog"]) == 1
+        assert not (outdir / "evolve.json").exists()
+
     def test_csv_uses_17_significant_digits(self, outdir):
         run(
             "evolve --exact --d 3 --A 1.0 --r-max 8 --n-r 33"
@@ -317,6 +325,16 @@ class TestPipeline:
                 }
             )
         assert blobs[0] == blobs[1]
+
+    def test_config_named_like_an_artifact_is_left_untouched(self, outdir, capsys):
+        # the default out is "pipeline", so pipeline.json is its own report
+        cfg = outdir / "pipeline.json"
+        text = json.dumps(PIPE_CFG)
+        cfg.write_text(text)
+        assert run(["pipeline", "--config", str(cfg)]) == 1
+        assert "overwritten" in capsys.readouterr().err
+        assert cfg.read_text() == text
+        assert sorted(p.name for p in outdir.iterdir()) == ["pipeline.json"]
 
     def test_small_grid_fails_cleanly(self, outdir, capsys):
         cfg = outdir / "pipe.json"

@@ -327,3 +327,25 @@ class TestRootIsolation:
         p = Poly([-2, 5, -4, 1])
         brackets = pl.isolate_real_roots(p, Fraction(0), Fraction(3))
         assert len(brackets) == 2
+
+    def test_multiple_root_at_left_end(self):
+        # z^2 (z-1)(z-2): the double root at the open end 0 must not
+        # hide the two interior roots
+        p = Poly([0, 0, 2, -3, 1])
+        brackets = pl.isolate_real_roots(p, Fraction(0), Fraction(3))
+        assert len(brackets) == 2
+        roots = sorted(float(pl._refine_root(p, lo, hi)) for lo, hi in brackets)
+        assert_allclose(roots, [1.0, 2.0], atol=1e-12)
+
+    def test_sup_even_sees_interior_maximum(self):
+        # P + 2zP' has a double root at z = 0; the sup of zP^2 on [0, 3]
+        # sits near z = 2.74, far above the endpoint value 2.85e7
+        P = [0, 0, Fraction(6, 5), Fraction(-1, 8), Fraction(-3, 4), Fraction(-3, 5),
+             3, -1, -1, Fraction(1, 2), -1, -2, Fraction(7, 9)]
+        p = Poly(P)
+        crit = p + Poly([0, 2]) * p.deriv()
+        assert len(pl.isolate_real_roots(crit, Fraction(0), Fraction(3))) == 2
+        z = np.linspace(0.0, 3.0, 200001)
+        dense = float(np.max(z * p.to_float()(z) ** 2))
+        lhs = float(lemma_check(P, "sup_even", 3).lhs)
+        assert lhs == pytest.approx(dense, rel=1e-6)

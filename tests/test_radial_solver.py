@@ -6,7 +6,6 @@ import pytest
 from wavechannel import exact_evolution as ev
 from wavechannel import exterior_basis as eb
 from wavechannel import radial_solver as rs
-from wavechannel import sphere3 as sph
 
 
 def one_over_r_mode(R=1.0):
@@ -30,8 +29,6 @@ class TestConfig:
             rs.SolverConfig(r_max=10.0, n_r=4, t_final=1.0)
         with pytest.raises(ValueError):
             rs.SolverConfig(r_max=10.0, n_r=100, t_final=1.0, cfl=1.5)
-        with pytest.raises(ValueError):
-            rs.SolverConfig(r_max=10.0, n_r=100, t_final=1.0, scheme="euler")
         with pytest.raises(ValueError):
             rs.SolverConfig(r_max=10.0, n_r=100, t_final=1.0, nonlinearity="cubic")
         with pytest.raises(ValueError):
@@ -61,6 +58,17 @@ class TestField:
         bad = np.concatenate([np.linspace(0, 1, 10), [5.0]])
         with pytest.raises(ValueError):
             rs.RadialGridField(r=bad, u=np.zeros(11), ut=np.zeros(11), lifted_dim=3)
+
+    @pytest.mark.parametrize("r_max", [16.0, 72.0, 128.0])
+    def test_accepts_every_linspace_grid(self, r_max):
+        # rounding in np.linspace jitters the steps by a few eps * r_max
+        for n_r in range(801, 20002, 400):
+            r = np.linspace(0.0, r_max, n_r)
+            rs.RadialGridField(r=r, u=np.zeros(n_r), ut=np.zeros(n_r), lifted_dim=3)
+        bent = r.copy()
+        bent[n_r // 2] += 1e-6 * (r[1] - r[0])
+        with pytest.raises(ValueError, match="uniform"):
+            rs.RadialGridField(r=bent, u=np.zeros(n_r), ut=np.zeros(n_r), lifted_dim=3)
 
     def test_radial_derivative_second_order(self):
         r = np.linspace(0, 2, 201)
@@ -112,10 +120,8 @@ class TestDAlembertConvergence:
             out[~pos] = np.exp(-(t**2)) * (1 - 2 * t**2)
         return out
 
-    def run_error(self, n_r, scheme):
-        cfg = rs.SolverConfig(
-            r_max=20.0, n_r=n_r, t_final=3.0, scheme=scheme, store_every=10**9
-        )
+    def run_error(self, n_r):
+        cfg = rs.SolverConfig(r_max=20.0, n_r=n_r, t_final=3.0, store_every=10**9)
         fld = rs.field_from_callables(
             cfg, lambda r: np.exp(-(r**2)), lambda r: np.zeros_like(r), lifted_dim=3
         )
@@ -126,12 +132,11 @@ class TestDAlembertConvergence:
             np.abs(traj.fields[-1].u[mask] - self.exact(traj.r[mask], t_end))
         )
 
-    @pytest.mark.parametrize("scheme", ["leapfrog", "rk4_mol"])
-    def test_second_order_convergence(self, scheme):
-        e_coarse = self.run_error(401, scheme)
-        e_fine = self.run_error(801, scheme)
+    def test_second_order_convergence(self):
+        e_coarse = self.run_error(401)
+        e_fine = self.run_error(801)
         ratio = e_coarse / e_fine
-        assert 3.6 <= ratio <= 4.4, (scheme, e_coarse, e_fine, ratio)
+        assert 3.6 <= ratio <= 4.4, (e_coarse, e_fine, ratio)
 
 
 class TestChainAgreement:
@@ -348,7 +353,7 @@ class TestCriticalNormTails:
 
 
 class TestSphereBridge:
-    """Lifted solve -> samples on nested spheres -> recovered mode profile."""
+    """Lifted solve of the nu = 2 mode (3, 2), sampled on nested exterior radii."""
 
     def recovered_error(self, n_r):
         spec = eb.ModeSpec(3, 2)
@@ -361,19 +366,10 @@ class TestSphereBridge:
         idx = idx[:: max(1, idx.size // 10)]
         radii = traj.r[idx]
         w_num = traj.fields[-1].u[idx]
-
-        grid = sph.SphereGrid(12, 25)
-        field = sph.synthesize({(2, 1): radii**2 * w_num}, radii, grid)
-        rec = sph.analyze(field, 2, 1)
-        # the transform pair must hand back the profile it was fed
-        assert np.max(np.abs(rec.lifted - w_num)) <= 1e-10 * np.max(np.abs(w_num))
-        leak = sph.analyze(field, 3, -2)
-        assert np.max(np.abs(leak.coefficient)) <= 1e-10
-
         exact = np.array(
             [traj.descriptor.eval(float(rr), t_end).u for rr in radii]
         )
-        return float(np.max(np.abs(rec.lifted - exact)))
+        return float(np.max(np.abs(w_num - exact)))
 
     def test_recovered_mode_converges_to_exact(self):
         e_coarse = self.recovered_error(401)
