@@ -46,8 +46,6 @@ from . import radiation3 as rad
 
 _VERSION = f"wavechannel-{__version__}"
 _VARIANTS = ("sup_odd", "deriv_odd", "sup_even", "deriv_even")
-# ValueError messages that signal a numerical failure rather than bad input
-_NUMERICAL_MARKERS = ("blew up", "blow", "contamination", "no stored snapshot")
 
 
 class UsageError(Exception):
@@ -155,11 +153,8 @@ def _check_config_survives(config_path: Optional[str], base: Path) -> None:
 def _numerical_guard(fn: Callable[[], Any]) -> Any:
     try:
         return fn()
-    except ValueError as e:
-        msg = str(e)
-        if any(marker in msg for marker in _NUMERICAL_MARKERS):
-            raise NumericalFailure({"reason": msg}) from e
-        raise
+    except rs.NumericalError as e:
+        raise NumericalFailure({"reason": str(e)}) from e
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .radial_solver import (
+    NumericalError,
     RadialGridField,
     SolverConfig,
     l6_tail,
@@ -364,7 +365,7 @@ def nonlinear_decay_pipeline(
     cut = RadialGridField(r=r, u=data.u * chi, ut=data.ut * chi, lifted_dim=3)
     traj = solve_quintic(cut, config)
     if traj.blown_up:
-        raise ValueError(
+        raise NumericalError(
             "the nonlinear run blew up; reduce t_final or the data amplitude"
         )
     l6_values = np.array([l6_tail(traj, float(p)) for p in probes])

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +40,8 @@ VELOCITY = "velocity"
 
 # (coefficient, t power, r power) with exact rational coefficient
 Monomial = tuple[Fraction, int, int]
+# the same with the coefficient rounded to a float
+FloatMonomial = tuple[float, int, int]
 
 
 def max_admissible_k(D: int, kind: str) -> int:
@@ -96,11 +99,11 @@ def chain_lift(spec: ModeSpec, k: int, kind: str) -> ChainSolution:
 
 
 def _eval_monomials(
-    terms: Iterable[Monomial], r: np.ndarray, t: float
+    terms: Iterable[FloatMonomial], r: np.ndarray, t: float
 ) -> np.ndarray:
     out = np.zeros_like(r)
     for coeff, a, b in terms:
-        out += float(coeff) * t**a * r**b
+        out += coeff * t**a * r**b
     return out
 
 
@@ -115,6 +118,21 @@ def _derivative_monomials(sol: ChainSolution) -> tuple[tuple[Monomial, ...], tup
     return tuple(ut), tuple(ur)
 
 
+def _float_tables(sol: ChainSolution) -> tuple[tuple[FloatMonomial, ...], ...]:
+    """Float monomials of (u, u_t, u_r), each coefficient rounded once."""
+    return tuple(
+        tuple((float(c), a, b) for c, a, b in family)
+        for family in (sol.monomials(), *_derivative_monomials(sol))
+    )
+
+
+def _positive_radii(r: ArrayLike) -> np.ndarray:
+    arr = np.asarray(r, dtype=float)
+    if not np.all(arr > 0):
+        raise ValueError("chain solutions live on r > 0")
+    return arr
+
+
 @dataclass(frozen=True)
 class ExactValues:
     """Pointwise chain-sum values and first derivatives."""
@@ -126,13 +144,8 @@ class ExactValues:
 
 def eval_exact(sol: ChainSolution, r: ArrayLike, t: float) -> ExactValues:
     """Evaluate the chain and its first derivatives at radius r, time t."""
-    arr = np.asarray(r, dtype=float)
-    if not np.all(arr > 0):
-        raise ValueError("chain solutions live on r > 0")
-    ut_terms, ur_terms = _derivative_monomials(sol)
-    u = _eval_monomials(sol.monomials(), arr, float(t))
-    ut = _eval_monomials(ut_terms, arr, float(t))
-    ur = _eval_monomials(ur_terms, arr, float(t))
+    arr = _positive_radii(r)
+    u, ut, ur = (_eval_monomials(family, arr, float(t)) for family in _float_tables(sol))
     if np.isscalar(r) or arr.ndim == 0:
         return ExactValues(float(u), float(ut), float(ur))
     return ExactValues(u, ut, ur)
@@ -244,6 +257,15 @@ def exact_cone_energy(sol: ChainSolution, R: float, t: float) -> float:
     return total
 
 
+def _sum_energy(collected: Iterable[tuple[float, int, int]], rho: float, t: float) -> float:
+    if not rho > 0:
+        raise ValueError("exterior radius must be positive")
+    total = 0.0
+    for c, a, m in collected:
+        total += c * float(t) ** a * rho**m
+    return total
+
+
 def exterior_energy(
     terms: Sequence[tuple[float, ChainSolution]], rho: float, t: float
 ) -> float:
@@ -251,13 +273,7 @@ def exterior_energy(
 
     Cross terms between chains are included; all chains must share D.
     """
-    if not rho > 0:
-        raise ValueError("exterior radius must be positive")
-    _, collected = _energy_terms(terms)
-    total = 0.0
-    for c, a, m in collected:
-        total += c * float(t) ** a * rho**m
-    return total
+    return _sum_energy(_energy_terms(terms)[1], rho, t)
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +316,63 @@ class ExteriorDescriptor:
     def covers(self, r: ArrayLike, t: float) -> np.ndarray:
         return np.asarray(r, dtype=float) - abs(t) > self.valid_radius
 
+    @cached_property
+    def _chains(self) -> tuple[tuple[float, tuple[tuple[FloatMonomial, ...], ...]], ...]:
+        """(weight, float tables of u, u_t, u_r) per chain, built on first use."""
+        return tuple((weight, _float_tables(sol)) for weight, sol in self.terms)
+
+    @cached_property
+    def _energy(self) -> tuple[tuple[float, int, int], ...]:
+        """Collected (coeff, t_power, rho_power) of the exterior energy."""
+        return _energy_terms(self.terms)[1]
+
     def eval(self, r: ArrayLike, t: float) -> ExactValues:
         arr = np.asarray(r, dtype=float)
+        if self._chains:
+            _positive_radii(arr)
         u = np.zeros_like(arr)
         ut = np.zeros_like(arr)
         ur = np.zeros_like(arr)
-        for weight, sol in self.terms:
-            vals = eval_exact(sol, arr, t)
-            u += weight * vals.u
-            ut += weight * vals.ut
-            ur += weight * vals.ur
+        tf = float(t)
+        # per chain: accumulate the monomials, then weight the chain sum
+        for weight, (u_terms, ut_terms, ur_terms) in self._chains:
+            u += weight * _eval_monomials(u_terms, arr, tf)
+            ut += weight * _eval_monomials(ut_terms, arr, tf)
+            ur += weight * _eval_monomials(ur_terms, arr, tf)
         if np.isscalar(r) or np.asarray(r).ndim == 0:
             return ExactValues(float(u), float(ut), float(ur))
         return ExactValues(u, ut, ur)
 
+    def boundary(self, r: float) -> Callable[[float], float]:
+        """t -> eval(r, t).u at one fixed radius, bit for bit and in a few flops.
+
+        Each r**b is the same 0-d numpy power that eval takes, computed
+        once; a call then sums the chains in eval's order.
+        """
+        arr = np.asarray(r, dtype=float)
+        if arr.ndim != 0:
+            raise ValueError("a boundary is taken at one radius")
+        if self._chains:
+            _positive_radii(arr)
+        chains = tuple(
+            (weight, tuple((c, a, float(arr**b)) for c, a, b in u_terms))
+            for weight, (u_terms, _, _) in self._chains
+        )
+
+        def u(t: float) -> float:
+            t = float(t)
+            total = 0.0
+            for weight, terms in chains:
+                chain = 0.0
+                for c, a, rb in terms:
+                    chain += c * t**a * rb
+                total += weight * chain
+            return total
+
+        return u
+
     def exterior_energy(self, rho: float, t: float) -> float:
-        return exterior_energy(self.terms, rho, t)
+        return _sum_energy(self._energy, rho, t)
 
 
 def descriptor_for_mode(data: ExteriorModeData) -> ExteriorDescriptor:

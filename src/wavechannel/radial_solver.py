@@ -35,13 +35,20 @@ NONLINEARITIES = ("none", "defocusing_quintic", "focusing_quintic")
 _EPS = float(np.finfo(float).eps)
 
 
+class NumericalError(ValueError):
+    """A run or diagnostic that failed numerically rather than on bad input."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Grid, stepping, and equation selection for one run.
 
     The parity closure at r = 0 tightens the usable Courant number to
-    about sqrt(2/D) in lifted dimension D; the default cfl keeps every
-    D <= 9 run inside that limit, and _solve rejects anything beyond it.
+    about sqrt(2/D) in lifted dimension D; the default cfl 0.45 is inside
+    that limit for every D <= 9, and _solve rejects anything beyond it.
+    That limit does not make runs stable for D >= 6: next to the origin
+    the centred ((D-1)/r) u_r stencil has complex eigenvalues there, and
+    runs blow up after a few time units at any cfl (ROADMAP item 1).
     """
 
     r_max: float
@@ -260,28 +267,27 @@ def _nonlinear_term(config: SolverConfig) -> Callable[[np.ndarray], np.ndarray]:
     return lambda u: u**5  # focusing_quintic
 
 
-def _ghost_value(
-    u: np.ndarray, r_ghost: float, t: float, descriptor: Optional[ExteriorDescriptor]
-) -> float:
-    if descriptor is not None:
-        return float(descriptor.eval(r_ghost, t).u)
+def _ghost_value(u: np.ndarray, t: float, boundary: Optional[Callable[[float], float]]) -> float:
+    if boundary is not None:
+        return boundary(t)
     return 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
 
 
 def _spatial_operator(
     u: np.ndarray,
+    out: np.ndarray,
     r: np.ndarray,
     dr: float,
     D: int,
-    t: float,
-    descriptor: Optional[ExteriorDescriptor],
+    coef: np.ndarray,
+    g: float,
 ) -> np.ndarray:
-    """u_rr + ((D-1)/r) u_r with parity, one-sided, and ghost closures."""
-    out = np.empty_like(u)
+    """u_rr + ((D-1)/r) u_r into out, with parity, one-sided, and ghost closures.
+
+    coef is (D-1)/r[1:-1] and g the ghost value at r[-1] + dr.
+    """
     inv_dr2 = 1.0 / dr**2
-    out[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) * inv_dr2 + (D - 1) / r[1:-1] * (
-        u[2:] - u[:-2]
-    ) / (2 * dr)
+    out[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) * inv_dr2 + coef * (u[2:] - u[:-2]) / (2 * dr)
     if r[0] == 0.0:
         # even parity: operator limit is D * u_rr at the origin
         out[0] = D * 2.0 * (u[1] - u[0]) * inv_dr2
@@ -289,7 +295,6 @@ def _spatial_operator(
         urr = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) * inv_dr2
         ur = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dr)
         out[0] = urr + (D - 1) / r[0] * ur
-    g = _ghost_value(u, r[-1] + dr, t, descriptor)
     out[-1] = (g - 2 * u[-1] + u[-2]) * inv_dr2 + (D - 1) / r[-1] * (g - u[-2]) / (2 * dr)
     return out
 
@@ -308,22 +313,35 @@ def _solve(initial: RadialGridField, config: SolverConfig, spec: ModeSpec) -> Tr
         )
     stride, n_steps = config.stride, config.n_steps
     F = _nonlinear_term(config)
+    # everything fixed for the run: the ghost radius, (D-1)/r, dt^2, the buffers
+    boundary = desc.boundary(r[-1] + dr) if desc is not None else None
+    coef = (D - 1) / r[1:-1]
+    dt2 = dt**2
+    op = np.empty_like(r)
+    scratch = np.empty_like(r)
 
     def rhs(u: np.ndarray, t: float) -> np.ndarray:
-        return _spatial_operator(u, r, dr, D, t, desc) + F(u)
+        _spatial_operator(u, op, r, dr, D, coef, _ghost_value(u, t, boundary))
+        return np.add(op, F(u), out=op)
 
     stored_t: list[float] = [0.0]
     stored: list[RadialGridField] = [initial]
 
     def healthy(u: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(u)) and np.max(np.abs(u)) <= config.blowup_threshold)
+        # NaN survives the max; isfinite also catches overflow when the threshold is inf
+        m = float(np.max(np.abs(u, out=scratch)))
+        return m <= config.blowup_threshold and math.isfinite(m)
 
     u_prev = initial.u.copy()
-    u_curr = u_prev + dt * initial.ut + 0.5 * dt**2 * rhs(u_prev, 0.0)
+    u_curr = u_prev + dt * initial.ut + 0.5 * dt2 * rhs(u_prev, 0.0)
+    u_next = np.empty_like(r)
     blown_up = not healthy(u_curr)
     n = 1
     while n <= n_steps and not blown_up:
-        u_next = 2 * u_curr - u_prev + dt**2 * rhs(u_curr, n * dt)
+        # u_next = 2 u_curr - u_prev + dt^2 rhs, in place and in that order
+        np.multiply(2, u_curr, out=u_next)
+        u_next -= u_prev
+        u_next += np.multiply(dt2, rhs(u_curr, n * dt), out=scratch)
         if not healthy(u_next):
             blown_up = True
             break
@@ -333,7 +351,7 @@ def _solve(initial: RadialGridField, config: SolverConfig, spec: ModeSpec) -> Tr
             stored.append(
                 RadialGridField(r=r, u=u_curr.copy(), ut=ut, lifted_dim=D, descriptor=desc)
             )
-        u_prev, u_curr = u_curr, u_next
+        u_prev, u_curr, u_next = u_curr, u_next, u_prev
         n += 1
 
     return Trajectory(
@@ -410,7 +428,7 @@ def _check_clean(traj: Trajectory, t: float, fld: RadialGridField) -> None:
     if np.max(np.abs(fld.u[band])) > 1e-11 * scale or np.max(
         np.abs(fld.ut[band])
     ) > 1e-11 * scale:
-        raise ValueError(
+        raise NumericalError(
             f"outer-edge contamination reaches the diagnostic region at t={t:g}; "
             "enlarge r_max or supply descriptor ghosts"
         )
@@ -426,7 +444,6 @@ def _moving_tail_integral(fld: RadialGridField, a: float, integrand: np.ndarray)
     j = int(np.searchsorted(r, a, side="left"))
     total = float(np.trapezoid(integrand[j:], dx=fld.dr)) if j < r.size - 1 else 0.0
     if j >= 1 and r[j] > a:
-        w = (r[j] - a) / fld.dr
         f_a = integrand[j - 1] + (integrand[j] - integrand[j - 1]) * (a - r[j - 1]) / fld.dr
         total += 0.5 * (f_a + integrand[j]) * (r[j] - a)
     return total

@@ -22,6 +22,7 @@ from scipy import integrate
 from .exact_evolution import ExteriorDescriptor
 from .exterior_basis import ExteriorModeData, eval_extended
 from .radial_solver import (
+    NumericalError,
     RadialGridField,
     SolverConfig,
     Trajectory,
@@ -340,7 +341,7 @@ def _snapshot_index(times: np.ndarray, t: float, dt: float) -> int:
     """Index of the stored time within about half a stride dt of t."""
     idx = int(np.argmin(np.abs(times - t)))
     if abs(float(times[idx]) - t) > 0.51 * dt:
-        raise ValueError(
+        raise NumericalError(
             f"no stored snapshot near t={t:g}; adjust store_every/t_final"
         )
     return idx

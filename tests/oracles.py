@@ -35,3 +35,52 @@ def exterior_norms_quadrature(data: eb.ExteriorModeData, n: int = 120) -> eb.Ser
     u1_norm2 = float(np.sum(w * vals.u1**2 * r ** (d - 1)))
     du0_norm2 = float(np.sum(w * vals.du0_dr**2 * r ** (d - 1)))
     return eb.SeriesNorms(angular, u1_norm2, du0_norm2)
+
+
+def reference_leapfrog(initial, config) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The linear leapfrog stepper written plainly, as a bit-for-bit reference.
+
+    Same scheme and the same float operations in the same order as
+    `radial_solver._solve` on a grid from r = 0, but with fresh arrays
+    every step and the descriptor ghost from `ExteriorDescriptor.eval`
+    at every step.  Returns stored times, u and u_t rows, and blown_up.
+    """
+    r = config.radial_grid()
+    D, desc = initial.lifted_dim, initial.descriptor
+    dr, dt = config.dr, config.dt
+    assert r[0] == 0.0 and config.nonlinearity == "none"
+
+    def rhs(u, t):
+        out = np.empty_like(u)
+        inv_dr2 = 1.0 / dr**2
+        out[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) * inv_dr2 + (D - 1) / r[1:-1] * (
+            u[2:] - u[:-2]
+        ) / (2 * dr)
+        out[0] = D * 2.0 * (u[1] - u[0]) * inv_dr2
+        if desc is not None:
+            g = float(desc.eval(r[-1] + dr, t).u)
+        else:
+            g = 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
+        out[-1] = (g - 2 * u[-1] + u[-2]) * inv_dr2 + (D - 1) / r[-1] * (g - u[-2]) / (2 * dr)
+        return out + 0.0  # the linear equation's zero nonlinearity
+
+    def healthy(u):
+        return bool(np.all(np.isfinite(u)) and np.max(np.abs(u)) <= config.blowup_threshold)
+
+    times, us, uts = [0.0], [initial.u], [initial.ut]
+    u_prev = initial.u.copy()
+    u_curr = u_prev + dt * initial.ut + 0.5 * dt**2 * rhs(u_prev, 0.0)
+    blown_up = not healthy(u_curr)
+    n = 1
+    while n <= config.n_steps and not blown_up:
+        u_next = 2 * u_curr - u_prev + dt**2 * rhs(u_curr, n * dt)
+        if not healthy(u_next):
+            blown_up = True
+            break
+        if n % config.stride == 0:
+            times.append(n * dt)
+            us.append(u_curr.copy())
+            uts.append((u_next - u_prev) / (2 * dt))
+        u_prev, u_curr = u_curr, u_next
+        n += 1
+    return np.asarray(times), np.asarray(us), np.asarray(uts), blown_up

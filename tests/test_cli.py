@@ -1,5 +1,6 @@
 """Contract tests for the command line: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 from importlib import resources
 from pathlib import Path
@@ -8,6 +9,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+from wavechannel import radial_solver as rs
+from wavechannel import radiation3 as rad
 from wavechannel.cli import run
 
 
@@ -280,6 +283,53 @@ class TestNlw:
         )
         assert rc == 2
         assert "contamination" in read_json(outdir, "nlw.json")["failure"]["reason"]
+
+
+class TestNumericalErrors:
+    """Each NumericalError site reaches exit code 2 by its type, through cli.run."""
+
+    def test_contaminated_cone_energy_exits_2(self, outdir):
+        # extrapolated ghosts: r_max 12 cannot certify the cone past t of about 4
+        rc = run(
+            "energy --gaussian 0.5 1.5 --r-max 12 --n-r 301 --t-final 6"
+            " --cone-radius 1".split()
+        )
+        assert rc == 2
+        reason = read_json(outdir, "energy.json")["failure"]["reason"]
+        assert reason.startswith("outer-edge contamination reaches the diagnostic region")
+
+    def test_pipeline_blowup_exits_2(self, outdir, capsys):
+        cfg = outdir / "blowup_config.json"
+        cfg.write_text(json.dumps({
+            "R": 1.0, "A": [5.0], "r_max": 16.0, "n_r": 401, "t_final": 1.0,
+            "nonlinearity": "focusing_quintic", "probe_radii": [2.0, 3.0, 4.0, 5.0],
+        }))
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert "the nonlinear run blew up" in capsys.readouterr().err
+        doc = read_json(outdir, "pipeline.json")
+        assert doc["failure"]["reason"].startswith("the nonlinear run blew up")
+
+    def test_missing_snapshot_exits_2(self, outdir, monkeypatch):
+        # No subcommand looks snapshots up yet, so the energy run's cone
+        # stage is swapped for the channel identity on a run that stops at
+        # once: its Richardson nodes then find no stored snapshot.
+        def identity_on_stopped_run(traj, R):
+            cfg = dataclasses.replace(traj.config, blowup_threshold=1e-3)
+            return rad.channel_identity_check(traj.fields[0], cfg, R)
+
+        monkeypatch.setattr(rs, "cone_energy", identity_on_stopped_run)
+        assert run("energy --d 3 --A 1.0 --cone-radius 2".split()) == 2
+        reason = read_json(outdir, "energy.json")["failure"]["reason"]
+        assert reason.startswith("no stored snapshot near t=")
+
+    def test_sites_raise_the_typed_error(self):
+        assert issubclass(rs.NumericalError, ValueError)
+        cfg = rs.SolverConfig(r_max=12.0, n_r=301, t_final=6.0, store_every=10)
+        traj = rs.solve_mode_linear(rs.gaussian_bump(cfg, 0.5, 1.5), cfg)
+        with pytest.raises(rs.NumericalError):
+            rs.cone_energy(traj, 1.0)
+        with pytest.raises(rs.NumericalError):
+            rad._snapshot_index(traj.times, 100.0, 0.1)
 
 
 PIPE_CFG = {

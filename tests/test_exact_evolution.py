@@ -288,6 +288,54 @@ class TestModeBridge:
         assert e_far <= 1e-6 * e0
 
 
+class TestBoundary:
+    """The fixed-radius ghost equals eval(r, t).u exactly, not approximately."""
+
+    # D = 2 has no chain, D = 3..8 have one to three, D = 9 has four
+    MODES = [(2, 0), (3, 0), (4, 0), (3, 1), (6, 0), (7, 0), (3, 2), (8, 0), (9, 0)]
+
+    @pytest.mark.parametrize("d,nu", MODES)
+    def test_equals_eval_at_the_solver_ghost(self, d, nu):
+        from wavechannel.radial_solver import SolverConfig
+
+        rng = np.random.default_rng(100 * d + nu)
+        spec = eb.ModeSpec(d, nu)
+        data = eb.build_exterior_mode(
+            spec,
+            float(rng.uniform(0.6, 1.7)),
+            A=rng.uniform(-2, 2, size=spec.k1_max),
+            B=rng.uniform(-2, 2, size=spec.k2_max),
+        )
+        full = ev.descriptor_for_mode(data)
+        descs = [full]
+        if len(full.terms) > 3:  # also its one- to three-chain prefixes
+            descs += [ev.ExteriorDescriptor(full.terms[:n], data.R) for n in (1, 2, 3)]
+        for n_r in (401, 801, 3601):
+            cfg = SolverConfig(r_max=16.0, n_r=n_r, t_final=4.0)
+            r = cfg.radial_grid()
+            r_ghost = r[-1] + cfg.dr
+            times = [n * cfg.dt for n in range(cfg.n_steps + 1)]
+            for desc in descs:
+                ghost = desc.boundary(r_ghost)
+                got = [ghost(t) for t in times]
+                want = [desc.eval(r_ghost, t).u for t in times]
+                assert got == want, (n_r, len(desc.terms))
+
+    def test_float_radius_and_negative_times(self):
+        data = eb.build_exterior_mode(eb.ModeSpec(3, 2), 1.0, A=[0.7, -1.3], B=[0.4])
+        desc = ev.descriptor_for_mode(data)
+        ghost = desc.boundary(5.37)
+        for t in np.linspace(-3.0, 3.0, 61):
+            assert ghost(float(t)) == desc.eval(5.37, float(t)).u
+
+    def test_rejects_arrays_and_nonpositive_radii(self):
+        desc = ev.descriptor_for_mode(eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[1.0]))
+        with pytest.raises(ValueError):
+            desc.boundary(np.array([2.0, 3.0]))
+        with pytest.raises(ValueError):
+            desc.boundary(0.0)
+
+
 @given(
     d=st.integers(min_value=3, max_value=13),
     nu=st.integers(min_value=0, max_value=6),

@@ -7,6 +7,8 @@ from wavechannel import exact_evolution as ev
 from wavechannel import exterior_basis as eb
 from wavechannel import radial_solver as rs
 
+from oracles import reference_leapfrog
+
 
 def one_over_r_mode(R=1.0):
     return eb.build_exterior_mode(eb.ModeSpec(3, 0), R, A=[1.0])
@@ -178,6 +180,29 @@ class TestBoundaryIndependence:
         assert diff == 0.0
 
 
+class TestReferenceStepper:
+    """The solver's snapshots equal a plain leapfrog that calls eval every step."""
+
+    @staticmethod
+    def assert_same_run(fld, cfg):
+        traj = rs.solve_mode_linear(fld, cfg)
+        times, u, ut, blown_up = reference_leapfrog(fld, cfg)
+        assert traj.blown_up == blown_up is False
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(np.array([f.u for f in traj.fields]), u)
+        assert np.array_equal(np.array([f.ut for f in traj.fields]), ut)
+
+    @pytest.mark.parametrize("d,nu,A,B", [(3, 0, [1.0], []), (5, 0, [0.8], [-1.2]), (3, 1, [1.0], [0.7])])
+    def test_descriptor_ghost_bit_for_bit(self, d, nu, A, B):
+        data = eb.build_exterior_mode(eb.ModeSpec(d, nu), 1.0, A=A, B=B)
+        cfg = rs.SolverConfig(r_max=8.0, n_r=201, t_final=4.0, store_every=7)
+        self.assert_same_run(rs.lifted_field_from_mode(data, cfg), cfg)
+
+    def test_extrapolated_ghost_bit_for_bit(self):
+        cfg = rs.SolverConfig(r_max=16.0, n_r=201, t_final=12.0, store_every=5)
+        self.assert_same_run(compact_bump(cfg, amplitude=0.5, support=4.0, lifted_dim=5), cfg)
+
+
 class TestQuintic:
     def test_zero_data_stays_zero(self):
         cfg = rs.SolverConfig(
@@ -244,6 +269,24 @@ class TestQuintic:
         assert traj.times[-1] < cfg.t_final
         for f in traj.fields:
             assert np.all(np.isfinite(f.u))
+
+    def test_overflow_flagged_without_threshold(self):
+        # with no threshold only non-finite values can stop the run
+        cfg = rs.SolverConfig(
+            r_max=8.0,
+            n_r=401,
+            t_final=6.0,
+            nonlinearity="focusing_quintic",
+            blowup_threshold=math.inf,
+            store_every=1,
+        )
+        fld = compact_bump(cfg, amplitude=4.0, support=2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = rs.solve_quintic(fld, cfg)
+        assert traj.blown_up
+        assert traj.times[-1] < cfg.t_final
+        for f in traj.fields:
+            assert np.all(np.isfinite(f.u)) and np.all(np.isfinite(f.ut))
 
     def test_quintic_requires_physical_dimension(self):
         cfg = rs.SolverConfig(
