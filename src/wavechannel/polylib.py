@@ -9,9 +9,13 @@ Parseval helpers, and the interval sup / weighted-derivative
 inequalities used by the exterior-decay estimates elsewhere in the
 package.
 
-Exact polynomials carry ``fractions.Fraction`` coefficients end to
-end; floating polynomials carry floats.  The two representations never
-mix inside one value: conversions are explicit via ``to_float`` /
+An exact polynomial is stored as integer numerators over one positive
+denominator, the content and primitive-part form (Knuth, TAOCP vol. 2,
+section 4.6.1): sums, products, derivatives, integrals, evaluation at a
+rational point and the Sturm chains run on Python ints, with one gcd
+per result, and the coefficients read as ``fractions.Fraction``.
+Floating polynomials carry floats.  The two representations never mix
+inside one value: conversions are explicit via ``to_float`` /
 ``to_exact``.
 """
 
@@ -55,15 +59,28 @@ def _is_exact_scalar(c) -> bool:
     return isinstance(c, _EXACT_TYPES) or isinstance(c, np.integer)
 
 
+def _horner_ints(num, p: int, q: int) -> tuple[int, int]:
+    """(sum num[i] p^i q^(n-i), q^n), n = len(num) - 1: the value at p/q times q^n."""
+    acc, qn = num[-1], 1
+    for c in reversed(num[:-1]):
+        qn *= q
+        acc = acc * p + c * qn
+    return acc, qn
+
+
 class Poly:
     """Dense univariate polynomial, ascending coefficients.
 
-    Coefficients are either all exact (``int`` / ``Fraction``, stored
-    as ``Fraction``) or all floats.  Trailing zeros are stripped; the
-    zero polynomial is stored as a single zero coefficient.
+    Coefficients are either all exact or all floats.  An exact
+    polynomial is stored as integer numerators ``num`` over one positive
+    denominator ``den``, with gcd(den, content of num) = 1, so equal
+    polynomials have equal fields; its ``coeffs`` are the ``Fraction``
+    values num[i]/den, built on first read.  A float polynomial keeps
+    its float ``coeffs`` (``num`` and ``den`` are None).  Trailing zeros
+    are stripped; the zero polynomial is a single zero coefficient.
     """
 
-    __slots__ = ("coeffs", "exact")
+    __slots__ = ("num", "den", "exact", "_coeffs")
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
@@ -71,16 +88,35 @@ class Poly:
             coeffs = [0]
         if all(_is_exact_scalar(c) for c in coeffs):
             coeffs = [Fraction(c) for c in coeffs]
-            exact = True
-        elif any(_is_exact_scalar(c) for c in coeffs):
+            den = math.lcm(*(c.denominator for c in coeffs))
+            self._set_exact([c.numerator * (den // c.denominator) for c in coeffs], den)
+            return
+        if any(_is_exact_scalar(c) for c in coeffs):
             raise TypeError("mixed exact and floating coefficients")
-        else:
-            coeffs = [float(c) for c in coeffs]
-            exact = False
+        coeffs = [float(c) for c in coeffs]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "exact", exact)
+        self._fill(None, None, tuple(coeffs))
+
+    def _fill(self, num, den, coeffs) -> None:
+        for name, value in (("num", num), ("den", den), ("exact", num is not None), ("_coeffs", coeffs)):
+            object.__setattr__(self, name, value)
+
+    def _set_exact(self, num: list[int], den: int) -> None:
+        while len(num) > 1 and num[-1] == 0:
+            num.pop()
+        g = math.gcd(den, *num)
+        if g > 1:
+            num = [c // g for c in num]
+            den //= g
+        self._fill(tuple(num), den, None)
+
+    @classmethod
+    def _from_ints(cls, num: list[int], den: int) -> "Poly":
+        """Exact polynomial sum(num[i] x^i) / den, den > 0, normalised."""
+        p = cls.__new__(cls)
+        p._set_exact(num, den)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -88,12 +124,20 @@ class Poly:
     # -- basic protocol -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(Fraction(c, self.den) for c in self.num))
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num if self.exact else self._coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
+        if self.exact:
+            return self.num == (0,)
+        return self._coeffs == (0.0,)
 
     def __repr__(self):
         tag = "exact" if self.exact else "float"
@@ -102,10 +146,16 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.exact == other.exact and self.coeffs == other.coeffs
+        if self.exact != other.exact:
+            return False
+        if self.exact:
+            return self.den == other.den and self.num == other.num
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self.exact, self.coeffs))
+        if self.exact:
+            return hash((True, self.num, self.den))
+        return hash((False, self._coeffs))
 
     def _check_mode(self, other: "Poly"):
         if self.exact != other.exact:
@@ -117,12 +167,24 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_mode(other)
+        if self.exact:
+            den = math.lcm(self.den, other.den)
+            fa, fb = den // self.den, den // other.den
+            a, b = self.num, other.num
+            if len(a) < len(b):
+                a, b, fa, fb = b, a, fb, fa
+            out = [fa * c for c in a]
+            for i, c in enumerate(b):
+                out[i] += fb * c
+            return Poly._from_ints(out, den)
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         b = list(other.coeffs) + [0] * (n - len(other.coeffs))
         return Poly([x + y for x, y in zip(a, b)])
 
     def __neg__(self):
+        if self.exact:
+            return Poly._from_ints([-c for c in self.num], self.den)
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
@@ -133,6 +195,14 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_mode(other)
+            if self.exact:
+                b = other.num
+                out = [0] * (len(self.num) + len(b) - 1)
+                for i, a in enumerate(self.num):
+                    if a:
+                        for j, c in enumerate(b):
+                            out[i + j] += a * c
+                return Poly._from_ints(out, self.den * other.den)
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
@@ -145,25 +215,37 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        if self.exact and not _is_exact_scalar(c):
-            raise TypeError("scaling an exact polynomial by a float; convert explicitly")
+        if self.exact:
+            if not _is_exact_scalar(c):
+                raise TypeError("scaling an exact polynomial by a float; convert explicitly")
+            c = Fraction(c)
+            return Poly._from_ints([c.numerator * a for a in self.num], self.den * c.denominator)
         return Poly([c * a for a in self.coeffs])
 
     def deriv(self) -> "Poly":
+        if self.exact:
+            return Poly._from_ints([i * c for i, c in enumerate(self.num)][1:] or [0], self.den)
         if self.degree == 0:
-            return Poly([0]) if self.exact else Poly([0.0])
+            return Poly([0.0])
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def antideriv(self) -> "Poly":
-        zero = Fraction(0) if self.exact else 0.0
         if self.exact:
-            return Poly([zero] + [c / Fraction(i + 1) for i, c in enumerate(self.coeffs)])
-        return Poly([zero] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+            m = math.lcm(*range(1, len(self.num) + 1))
+            return Poly._from_ints(
+                [0] + [c * (m // (i + 1)) for i, c in enumerate(self.num)], self.den * m
+            )
+        return Poly([0.0] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
 
     def integrate(self, a, b):
         """Definite integral over [a, b]; exact when self and endpoints are."""
         anti = self.antideriv()
-        return anti(b) - anti(a)
+        if not (self.exact and _is_exact_scalar(a) and _is_exact_scalar(b)):
+            return anti(b) - anti(a)
+        a, b = Fraction(a), Fraction(b)
+        va, qa = _horner_ints(anti.num, a.numerator, a.denominator)
+        vb, qb = _horner_ints(anti.num, b.numerator, b.denominator)
+        return Fraction(vb * qa - va * qb, anti.den * qa * qb)
 
     def compose_affine(self, c0, c1) -> "Poly":
         """Return p(c0 + c1*x)."""
@@ -177,7 +259,11 @@ class Poly:
 
     def __call__(self, x):
         if isinstance(x, np.ndarray):
-            return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs, dtype=float))
+            return np.polynomial.polynomial.polyval(x, np.asarray(self.to_float().coeffs))
+        if self.exact and _is_exact_scalar(x):
+            x = Fraction(x)
+            acc, qn = _horner_ints(self.num, x.numerator, x.denominator)
+            return Fraction(acc, self.den * qn)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
@@ -186,9 +272,10 @@ class Poly:
     # -- conversions ------------------------------------------------------
 
     def to_float(self) -> "Poly":
+        """Float copy; each coefficient is the correctly rounded num[i]/den."""
         if not self.exact:
             return self
-        return Poly([float(c) for c in self.coeffs])
+        return Poly([c / self.den for c in self.num])
 
     def to_exact(self) -> "Poly":
         """Exact copy; floats convert via their exact binary value."""
@@ -381,94 +468,84 @@ def reconstruct(coeffs, family: str) -> Poly:
 # Interval maxima via exact root isolation (Sturm) with float refinement
 
 
-def _int_coeffs(p: Poly) -> list[int]:
-    denom = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * denom) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+def _primitive(num) -> list[int]:
+    """The content-free multiple of an integer polynomial, by a positive factor."""
+    g = math.gcd(*num)
+    return [c // g for c in num] if g > 1 else list(num)
 
 
-def _int_eval(coeffs: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of |lc(b)|^(deg a - deg b + 1) * a by b, on ints.
 
-
-def _strip_content(coeffs: list[int]) -> list[int]:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        coeffs = [c // g for c in coeffs]
-    return coeffs
-
-
-def _poly_divmod(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of a / b, coefficients lowest degree first."""
-    quot = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    The factor is positive, so the result is a positive multiple of the
+    rational remainder of a by b and keeps its sign everywhere.
+    """
+    lc, nb = b[-1], len(b)
+    scale, sign = abs(lc), 1 if lc > 0 else -1
     rem = list(a)
-    while len(rem) >= len(b) and any(c != 0 for c in rem):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        q = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        quot[shift] = q
-        for i, bc in enumerate(b):
-            rem[shift + i] -= q * bc
+    for top in range(len(a) - 1, nb - 2, -1):
+        t = sign * rem[top]
+        shift = top - nb + 1
+        for i in range(top):
+            rem[i] *= scale
+        for j in range(nb - 1):
+            rem[shift + j] -= t * b[j]
         rem.pop()
     while len(rem) > 1 and rem[-1] == 0:
         rem.pop()
-    return quot, rem
+    return rem
 
 
-def _remainder_chain(f: list[Fraction]) -> list[list[Fraction]]:
-    """f, f' and the negated remainders, down to the last nonzero one."""
-    fp = [i * c for i, c in enumerate(f)][1:] or [Fraction(0)]
-    chain = [f, fp]
-    while len(chain[-1]) > 1 or (len(chain[-1]) == 1 and chain[-1][0] != 0):
-        a, b = chain[-2], chain[-1]
-        if len(b) == 1:
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a.
+
+    With b primitive the quotient has integer coefficients (Gauss's
+    lemma), so every step of the long division is an exact int division.
+    """
+    lc, nb = b[-1], len(b)
+    rem = list(a)
+    quot = [0] * (len(a) - nb + 1)
+    for shift in range(len(a) - nb, -1, -1):
+        q = rem[shift + nb - 1] // lc
+        quot[shift] = q
+        for j, c in enumerate(b):
+            rem[shift + j] -= q * c
+    return quot
+
+
+def _remainder_chain(f: list[int]) -> list[list[int]]:
+    """f, f' and the negated remainders, down to the last nonzero one,
+    each replaced by its primitive part."""
+    chain = [_primitive(f), _primitive([i * c for i, c in enumerate(f)][1:])]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_remainder(chain[-2], chain[-1])
+        if rem == [0]:
             break
-        rem = _poly_divmod(a, b)[1]
-        if len(rem) == 1 and rem[0] == 0:
-            break
-        chain.append([-c for c in rem])
+        chain.append(_primitive([-c for c in rem]))
     return chain
 
 
 def _sturm_chain(p: Poly) -> list[list[int]]:
     """Signed remainder chain of the square-free part, integer coefficients.
 
-    Division is done in Fraction arithmetic per step and re-scaled to a
-    content-free integer polynomial with the correct sign; degree <= 15
-    keeps this cheap.  A non-constant last remainder is gcd(p, p'):
-    sign counts at one of its roots (a multiple root of p) miss roots,
-    so the chain is rebuilt from p / gcd(p, p').
+    Every member is the content-free integer polynomial that is a
+    positive multiple of the rational signed remainder, so signs at any
+    point are those of the rational chain.  A non-constant last remainder
+    is gcd(p, p'): sign counts at one of its roots (a multiple root of p)
+    miss roots, so the chain is rebuilt from p / gcd(p, p').
     """
-    f = [Fraction(c) for c in _int_coeffs(p)]
-    chain = _remainder_chain(f)
+    chain = _remainder_chain(p.num)
     if len(chain[-1]) > 1:
-        chain = _remainder_chain(_poly_divmod(f, chain[-1])[0])
-    # normalize each to content-free ints (positive scaling only)
-    out = []
-    for f in chain:
-        denom = math.lcm(*(c.denominator for c in f))
-        out.append(_strip_content([int(c * denom) for c in f]))
-    return out
+        chain = _remainder_chain(_exact_quotient(chain[0], chain[-1]))
+    return chain
 
 
 def _sign_changes(chain, x: Fraction) -> int:
+    # q^n > 0, so value * q^n has the sign of the value at x = p/q
+    p, q = x.numerator, x.denominator
     signs = []
     for coeffs in chain:
-        v = _int_eval(coeffs, x)
+        v = _horner_ints(coeffs, p, q)[0]
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -503,21 +580,33 @@ def _refine_root(p: Poly, lo: Fraction, hi: Fraction) -> float:
 
     Brackets are half-open (lo, hi], so a zero value at ``lo`` belongs
     to the neighbouring bracket and the left end is nudged inward.
+    Scalar values come from a Horner loop with the multiply-then-add
+    rounding of ``np.polyval``, so the bits match it.
     """
-    pf = np.asarray([float(c) for c in p.coeffs][::-1])
+    cs = p.to_float().coeffs[::-1]
+
+    def f(x):
+        acc = 0.0
+        for c in cs:
+            acc = acc * x + c
+        return acc
+
+    def same_sign(u, v):  # np.sign(u) == np.sign(v) for nonzero u, v
+        return (u > 0 and v > 0) or (u < 0 and v < 0)
+
     a, b = float(lo), float(hi)
-    f_hi = np.polyval(pf, b)
+    f_hi = f(b)
     if f_hi == 0.0:
         return b
-    f_lo = np.polyval(pf, a)
+    f_lo = f(a)
     step = (b - a) * 2.0**-24
     while f_lo == 0.0 and a + step < b:
         a += step
-        f_lo = np.polyval(pf, a)
+        f_lo = f(a)
         step *= 2.0
-    if f_lo == 0.0 or np.sign(f_lo) == np.sign(f_hi):
+    if f_lo == 0.0 or same_sign(f_lo, f_hi):
         xs = np.linspace(a, b, 65)
-        vs = np.polyval(pf, xs)
+        vs = np.polyval(np.asarray(cs), xs)
         flips = np.where(np.sign(vs[:-1]) * np.sign(vs[1:]) < 0)[0]
         if flips.size == 0:
             return 0.5 * (a + b)
@@ -525,10 +614,10 @@ def _refine_root(p: Poly, lo: Fraction, hi: Fraction) -> float:
         f_lo = vs[flips[0]]
     for _ in range(80):
         m = 0.5 * (a + b)
-        fm = np.polyval(pf, m)
+        fm = f(m)
         if fm == 0.0:
             return m
-        if np.sign(fm) == np.sign(f_lo):
+        if same_sign(fm, f_lo):
             a, f_lo = m, fm
         else:
             b = m

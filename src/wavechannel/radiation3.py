@@ -347,6 +347,14 @@ def _snapshot_index(times: np.ndarray, t: float, dt: float) -> int:
     return idx
 
 
+def _require_healthy(traj: Trajectory) -> None:
+    """Refuse a run stopped by the blow-up threshold: its snapshots end early."""
+    if traj.blown_up:
+        raise NumericalError(
+            f"the linear run blew up; last stored snapshot at t={float(traj.times[-1]):g}"
+        )
+
+
 @dataclass(frozen=True)
 class ChannelBalance:
     """Both sides of the exterior energy balance, with context."""
@@ -396,6 +404,7 @@ def channel_identity_check(
             descriptor=fld.descriptor if sign > 0 else reversed_descriptor,
         )
         traj = solve_mode_linear(data, config)
+        _require_healthy(traj)
         series = cone_energy(traj, R)
         dt_store = float(traj.times[1] - traj.times[0]) if traj.times.size > 1 else config.dt
         es = [series.values[_snapshot_index(traj.times, t, dt_store)] for t in t_nodes]
@@ -426,6 +435,7 @@ def numeric_future_profile(
     must clear the backward cone of the support; few large nodes beat
     many small ones once the small ones dip inside it.
     """
+    _require_healthy(traj)
     t_end = float(traj.times[-1])
     if t_end <= 0:
         raise ValueError("trajectory must reach a positive time")

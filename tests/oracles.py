@@ -1,11 +1,17 @@
 """Independent numerical cross-checks used by several test modules.
 
-These deliberately avoid the exact rational code paths: everything here
-is float quadrature over the physical radial variable, so agreement
-with the library's closed forms is meaningful evidence.
+Most of these avoid the exact rational code paths: they are float
+quadrature over the physical radial variable, so agreement with the
+library's closed forms is meaningful evidence.  The Sturm references
+are the other kind: the library's root isolation written plainly, in
+``Fraction`` long division and ``np.polyval`` bisection, for bit-for-bit
+comparison with its integer form.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -84,3 +90,119 @@ def reference_leapfrog(initial, config) -> tuple[np.ndarray, np.ndarray, np.ndar
         u_prev, u_curr = u_curr, u_next
         n += 1
     return np.asarray(times), np.asarray(us), np.asarray(uts), blown_up
+
+
+def _divmod_reference(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a / b, coefficients lowest degree first."""
+    quot = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    rem = list(a)
+    while len(rem) >= len(b) and any(rem):
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        q = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quot[shift] = q
+        for i, bc in enumerate(b):
+            rem[shift + i] -= q * bc
+        rem.pop()
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _remainder_chain_reference(f: list[Fraction]) -> list[list[Fraction]]:
+    """f, f' and the negated remainders, down to the last nonzero one."""
+    chain = [f, [i * c for i, c in enumerate(f)][1:]]
+    while len(chain[-1]) > 1:
+        rem = _divmod_reference(chain[-2], chain[-1])[1]
+        if rem == [0]:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _primitive(f: list[Fraction]) -> list[int]:
+    """The content-free integer multiple of f with a positive factor."""
+    denom = math.lcm(*(c.denominator for c in f))
+    ints = [int(c * denom) for c in f]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def sturm_chain_reference(coeffs) -> list[list[int]]:
+    """Sturm chain of the square-free part of a polynomial of degree >= 1.
+
+    Fraction long division; when the last remainder is not constant it
+    is gcd(f, f'), and the chain is rebuilt from f / gcd(f, f').  Each
+    member is returned as its content-free integer multiple.
+    """
+    f = [Fraction(c) for c in coeffs]
+    chain = _remainder_chain_reference(f)
+    if len(chain[-1]) > 1:
+        chain = _remainder_chain_reference(_divmod_reference(f, chain[-1])[0])
+    return [_primitive(g) for g in chain]
+
+
+def _sign_changes_reference(chain: list[list[int]], x: Fraction) -> int:
+    signs = []
+    for coeffs in chain:
+        v = Fraction(0)
+        for c in reversed(coeffs):
+            v = v * x + c
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def isolate_real_roots_reference(chain, a: Fraction, b: Fraction, max_depth: int = 64) -> list:
+    """Brackets (lo, hi], each holding one distinct root, by bisection on
+    the sign changes of a Sturm chain."""
+    brackets = []
+    stack = [(a, b, _sign_changes_reference(chain, a), _sign_changes_reference(chain, b), 0)]
+    while stack:
+        lo, hi, v_lo, v_hi, depth = stack.pop()
+        count = v_lo - v_hi
+        if count <= 0:
+            continue
+        if count == 1 or depth >= max_depth:
+            brackets.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        v_mid = _sign_changes_reference(chain, mid)
+        stack.append((lo, mid, v_lo, v_mid, depth + 1))
+        stack.append((mid, hi, v_mid, v_hi, depth + 1))
+    return brackets
+
+
+def refine_root_reference(coeffs, lo: Fraction, hi: Fraction) -> float:
+    """Float bisection of a bracket with np.polyval, nudging a zero left end inward."""
+    pf = np.asarray([float(c) for c in coeffs][::-1])
+    a, b = float(lo), float(hi)
+    f_hi = np.polyval(pf, b)
+    if f_hi == 0.0:
+        return b
+    f_lo = np.polyval(pf, a)
+    step = (b - a) * 2.0**-24
+    while f_lo == 0.0 and a + step < b:
+        a += step
+        f_lo = np.polyval(pf, a)
+        step *= 2.0
+    if f_lo == 0.0 or np.sign(f_lo) == np.sign(f_hi):
+        xs = np.linspace(a, b, 65)
+        vs = np.polyval(pf, xs)
+        flips = np.where(np.sign(vs[:-1]) * np.sign(vs[1:]) < 0)[0]
+        if flips.size == 0:
+            return 0.5 * (a + b)
+        a, b = xs[flips[0]], xs[flips[0] + 1]
+        f_lo = vs[flips[0]]
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        fm = np.polyval(pf, m)
+        if fm == 0.0:
+            return m
+        if np.sign(fm) == np.sign(f_lo):
+            a, f_lo = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)

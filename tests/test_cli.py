@@ -310,9 +310,9 @@ class TestNumericalErrors:
         assert doc["failure"]["reason"].startswith("the nonlinear run blew up")
 
     def test_missing_snapshot_exits_2(self, outdir, monkeypatch):
-        # No subcommand looks snapshots up yet, so the energy run's cone
-        # stage is swapped for the channel identity on a run that stops at
-        # once: its Richardson nodes then find no stored snapshot.
+        # No subcommand runs the channel identity yet, so the energy run's
+        # cone stage is swapped for it on a run that the blow-up threshold
+        # stops at once: the blow-up is named, not a snapshot lookup.
         def identity_on_stopped_run(traj, R):
             cfg = dataclasses.replace(traj.config, blowup_threshold=1e-3)
             return rad.channel_identity_check(traj.fields[0], cfg, R)
@@ -320,7 +320,7 @@ class TestNumericalErrors:
         monkeypatch.setattr(rs, "cone_energy", identity_on_stopped_run)
         assert run("energy --d 3 --A 1.0 --cone-radius 2".split()) == 2
         reason = read_json(outdir, "energy.json")["failure"]["reason"]
-        assert reason.startswith("no stored snapshot near t=")
+        assert reason == "the linear run blew up; last stored snapshot at t=0"
 
     def test_sites_raise_the_typed_error(self):
         assert issubclass(rs.NumericalError, ValueError)

@@ -1,7 +1,10 @@
 """Exact polynomial machinery: families, quadrature, inequalities."""
 
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import oracles
 from wavechannel import polylib as pl
 from wavechannel.polylib import (
     Poly,
@@ -64,6 +68,86 @@ class TestPoly:
         p = Poly([1.0, -2.0, 1.0])
         x = np.array([0.0, 1.0, 2.0])
         assert_allclose(p(x), (1 - x) ** 2)
+
+
+def _fraction_ops(a: list[Fraction], b: list[Fraction]) -> dict:
+    """Sum, product, derivative and antiderivative on Fraction lists, written plainly."""
+    def strip(c):
+        c = list(c)
+        while len(c) > 1 and c[-1] == 0:
+            c.pop()
+        return tuple(c)
+
+    n = max(len(a), len(b))
+    pad = lambda c: list(c) + [Fraction(0)] * (n - len(c))  # noqa: E731
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return {
+        "sum": strip(x + y for x, y in zip(pad(a), pad(b))),
+        "product": strip(prod),
+        "deriv": strip([i * c for i, c in enumerate(a)][1:] or [Fraction(0)]),
+        "antideriv": strip([Fraction(0)] + [c / (i + 1) for i, c in enumerate(a)]),
+    }
+
+
+class TestPolyInvariants:
+    @staticmethod
+    def assert_normalised(p: Poly):
+        assert p.exact and p.den > 0 and math.gcd(p.den, *p.num) == 1
+        assert p.num[-1] != 0 or p.num == (0,)
+
+    def test_one_polynomial_one_representation(self):
+        half = Fraction(1, 2)
+        ways = [
+            Poly([Fraction(2, 4), 1]),
+            Poly([1, 2]).scale(half),
+            Poly([np.int64(1), np.int64(2)]) * half,
+            (Poly([1, 2]) * Poly([Fraction(3, 7)])).scale(Fraction(7, 6)),
+            Poly([half, 1, Fraction(5, 3)]) - Poly([0, 0, Fraction(10, 6)]),
+            Poly([0, half, half, 0]).deriv().antideriv().deriv(),
+        ]
+        for p in ways:
+            self.assert_normalised(p)
+            assert (p.num, p.den) == ((1, 2), 2)
+            assert p == ways[0] and hash(p) == hash(ways[0])
+            assert p.coeffs == (half, 1)
+        assert Poly([0, 0]) == Poly([Fraction(0, 5)]) == Poly([1, 1]) - Poly([1, 1])
+        assert (Poly([0]).num, Poly([0]).den) == ((0,), 1)
+        assert Poly([half]) != Poly([0.5])
+
+    def test_operations_keep_the_normal_form_and_the_fraction_values(self):
+        rng = random.Random(99)
+        rational = lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 40))  # noqa: E731
+        for _ in range(300):
+            a = [rational() for _ in range(rng.randint(1, 12))]
+            b = [rational() for _ in range(rng.randint(1, 12))]
+            p, q = Poly(a), Poly(b)
+            c = rational() or Fraction(1)
+            want = _fraction_ops(list(p.coeffs), list(q.coeffs))
+            got = {"sum": p + q, "product": p * q, "deriv": p.deriv(), "antideriv": p.antideriv()}
+            for name, r in got.items():
+                self.assert_normalised(r)
+                assert r.coeffs == want[name], name
+                assert all(type(x) is Fraction for x in r.coeffs)
+            for r in (p - q, -p, p.scale(c), c * p, p.compose_affine(c, rational() or 1)):
+                self.assert_normalised(r)
+            assert p.scale(c).coeffs == tuple(c * x for x in p.coeffs)
+            x = rational()
+            assert p(x) == sum(v * x**i for i, v in enumerate(p.coeffs))
+            assert p.integrate(x, c) == sum(
+                v * (c ** (i + 1) - x ** (i + 1)) / (i + 1) for i, v in enumerate(p.coeffs)
+            )
+
+    def test_to_float_matches_float_of_each_fraction_bit_for_bit(self):
+        rng = random.Random(5)
+        huge = Fraction(10**400 + 1, 3**700)
+        for _ in range(200):
+            coeffs = [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25))
+                      for _ in range(rng.randint(1, 10))] + [huge]
+            p = Poly(coeffs)
+            assert [c.hex() for c in p.to_float().coeffs] == [float(c).hex() for c in p.coeffs]
 
 
 class TestGauss:
@@ -349,3 +433,136 @@ class TestRootIsolation:
         dense = float(np.max(z * p.to_float()(z) ** 2))
         lhs = float(lemma_check(P, "sup_even", 3).lhs)
         assert lhs == pytest.approx(dense, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Golden lemma_check values, frozen from the Fraction-coefficient Poly
+
+GOLDEN = Path(__file__).parent / "data" / "lemma_golden.json"
+VARIANTS = ("sup_odd", "deriv_odd", "sup_even", "deriv_even")
+
+
+def _ratio(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def golden_inputs() -> list[tuple[str, list[Fraction], Fraction, Fraction]]:
+    """Seeded lemma_check inputs behind the golden fixture.
+
+    For each variant: two draws of each degree 0..15 and one of 16..20
+    (past the Sturm branch of the sup sides), one draw of each degree
+    3..20 whose critical polynomial has a double root at z = 0 (for
+    sup_odd P' = O(z^2); otherwise P = O(z^2), so P + 2zP' = O(z^2)),
+    and a copy of every draw scaled by a signed rational.
+    """
+    rng = random.Random(20240607)
+    cases = []
+    for variant in VARIANTS:
+        draws = [(d, False) for d in range(21) for _ in range(2 if d <= 15 else 1)]
+        draws += [(d, True) for d in range(3, 21)]
+        for degree, double_root in draws:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree + 1)]
+            if coeffs[-1] == 0:
+                coeffs[-1] = Fraction(1)
+            if double_root:
+                low = (1, 2) if variant == "sup_odd" else (0, 1)
+                for i in low:
+                    coeffs[i] = Fraction(0)
+            L = Fraction(rng.randint(1, 16), rng.randint(1, 4))
+            l = L * Fraction(rng.randint(1, 4), 8)
+            scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            cases.append((variant, coeffs, L, l))
+            cases.append((variant, [scale * c for c in coeffs], L, l))
+    return cases
+
+
+def write_golden(path: Path = GOLDEN) -> None:
+    """Run lemma_check on golden_inputs() and store inputs and results."""
+    rows = []
+    for variant, coeffs, L, l in golden_inputs():
+        chk = lemma_check(coeffs, variant, L, l)
+        rows.append({
+            "variant": variant,
+            "coeffs": [_ratio(c) for c in coeffs],
+            "L": _ratio(L),
+            "l": _ratio(l),
+            "lhs": _ratio(chk.lhs),
+            "rhs": _ratio(chk.rhs),
+            "holds": chk.holds,
+        })
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = ",\n".join(json.dumps(row) for row in rows)
+    path.write_text('{"cases": [\n' + lines + "\n]}\n")
+
+
+class TestLemmaGolden:
+    def test_inputs_match_generator(self):
+        rows = json.loads(GOLDEN.read_text())["cases"]
+        inputs = [(r["variant"], [Fraction(c) for c in r["coeffs"]], Fraction(r["L"]),
+                   Fraction(r["l"])) for r in rows]
+        assert inputs == golden_inputs()
+
+    def test_exact_values(self):
+        for r in json.loads(GOLDEN.read_text())["cases"]:
+            coeffs = [Fraction(c) for c in r["coeffs"]]
+            chk = lemma_check(coeffs, r["variant"], Fraction(r["L"]), Fraction(r["l"]))
+            assert (chk.lhs, chk.rhs, chk.holds) == (
+                Fraction(r["lhs"]), Fraction(r["rhs"]), r["holds"]
+            ), (r["variant"], r["coeffs"], r["L"], r["l"])
+
+
+# ---------------------------------------------------------------------------
+# Root isolation against the plain Fraction / np.polyval reference
+
+
+def sturm_cases(n: int = 2000):
+    """Seeded (poly, a, b) of degree 1..15.
+
+    A quarter random rational polynomials, a quarter products of linear
+    factors with multiplicities 1..3 times a random cofactor, a quarter
+    of those with an interval end on one of their roots, and a quarter
+    random polynomials on intervals with a negative left end.
+    """
+    rng = random.Random(7331)
+    rational = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))  # noqa: E731
+    for i in range(n):
+        kind = i % 4
+        if kind in (1, 2):
+            p, roots, target = Poly([rational() or 1 for _ in range(rng.randint(1, 3))]), [], rng.randint(2, 15)
+            while not roots or p.degree < target:
+                roots.append(Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
+                for _ in range(min(rng.randint(1, 3), 15 - p.degree)):
+                    p = p * Poly([-roots[-1], 1])
+        else:
+            coeffs = [rational() for _ in range(rng.randint(2, 16))]
+            p = Poly(coeffs[:-1] + [coeffs[-1] or Fraction(1)])
+        width = Fraction(rng.randint(1, 24), rng.randint(1, 4))
+        if kind == 2:
+            root = rng.choice(roots)
+            a = root if rng.random() < 0.5 else root - width
+        else:
+            a = Fraction(rng.randint(-16, -1 if kind == 3 else 4), rng.randint(1, 4))
+        b = a + width
+        yield p, a, b
+
+
+class TestSturmOracle:
+    def test_chain_brackets_and_refined_roots(self):
+        seen_brackets = seen_multiple = 0
+        for p, a, b in sturm_cases():
+            coeffs = p.coeffs
+            chain = oracles.sturm_chain_reference(coeffs)
+            assert pl._sturm_chain(p) == chain, (coeffs, a, b)
+            brackets = pl.isolate_real_roots(p, a, b)
+            assert brackets == oracles.isolate_real_roots_reference(chain, a, b), (coeffs, a, b)
+            for lo, hi in brackets:
+                got = pl._refine_root(p, lo, hi)
+                want = oracles.refine_root_reference(coeffs, lo, hi)
+                assert got == want, (coeffs, lo, hi)
+            seen_brackets += len(brackets)
+            seen_multiple += len(chain[0]) < len(coeffs)
+        assert seen_brackets > 2000 and seen_multiple > 500
+
+
+if __name__ == "__main__":
+    write_golden()

@@ -276,6 +276,16 @@ class TestNumericProfile:
         scale = np.max(np.abs(expect))
         assert np.max(np.abs(prof.g - expect)) <= 5e-3 * scale
 
+    def test_blown_up_run_is_refused(self):
+        cfg = snapped_config(30.0, 301, 8.0, blowup_threshold=1e-3)
+        fld = rs.field_from_callables(
+            cfg, lambda r: np.exp(-(r**2)), lambda r: np.zeros_like(r), lifted_dim=3
+        )
+        traj = rs.solve_mode_linear(fld, cfg)
+        assert traj.blown_up
+        with pytest.raises(rs.NumericalError, match="the linear run blew up; last stored snapshot at t=0"):
+            rad.numeric_future_profile(traj, n_nodes=2, s_min=-1.0)
+
 
 class TestChannelBalance:
     def test_monopole_basis_data_both_sides_vanish(self):
