@@ -19,10 +19,10 @@ exact_evolution
     and exact exterior cone energies.
 radial_solver
     Finite-difference evolution of radial profiles in lifted
-    dimension, cone energies, and exterior space-time norms.
+    dimension, cone energies, and exterior tail norms.
 radiation3
     Radiation profiles: explicit transform in three dimensions,
-    inverse, splittings, and the two-sided energy identity.
+    inverse, tail norms, and the two-sided energy identity.
 decay_lab
     Recursion-driven decay rates, adversarial envelopes, power-law
     fits, and the end-to-end nonlinear decay pipeline.

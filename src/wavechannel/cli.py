@@ -1,9 +1,12 @@
 """Command-line front end: every module as a deterministic subcommand.
 
 Subcommands: lemmas, basis, evolve, energy, radiation, nlw, pipeline.
-Each accepts a JSON config file (--config), validated against the
-schemas shipped in wavechannel/schemas with unknown keys rejected;
-explicit flags override config values.  Artifacts are a JSON report
+Each option is written once, as a property of schemas/<sub>.json: its
+type, range, default and help text live there, and the flags
+(--key-name for the property key_name) are generated from it.  Each
+accepts a JSON config file (--config), validated against that schema
+with unknown keys rejected; explicit flags override config values, and
+pipeline takes only --config and --out.  Artifacts are a JSON report
 (<out>.json, also echoed to stdout) plus subcommand-specific CSV
 tables, written atomically; a run whose config file is named like one
 of its <out>.* artifacts is refused.  Relative output paths resolve against
@@ -22,6 +25,7 @@ seed reproduce artifacts byte for byte.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -29,12 +33,14 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import __version__
 from . import decay_lab as dl
@@ -120,9 +126,19 @@ def _with_ext(base: Path, ext: str) -> Path:
     return base.parent / (base.name + ext)
 
 
+@lru_cache(maxsize=None)
 def _schema(sub: str) -> dict:
     text = resources.files("wavechannel").joinpath(f"schemas/{sub}.json").read_text()
     return json.loads(text)
+
+
+@lru_cache(maxsize=None)
+def _validator(sub: str):
+    """The subcommand's validator, with its schema checked against the meta-schema once."""
+    schema = _schema(sub)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _load_config(path: str) -> dict:
@@ -158,100 +174,9 @@ def _numerical_guard(fn: Callable[[], Any]) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# defaults and argument wiring
+# argument wiring, generated from the schemas
 
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "lemmas": {
-        "variant": "all",
-        "degree_max": 15,
-        "trials": 1000,
-        "seed": 0,
-        "out": "lemmas",
-    },
-    "basis": {
-        "d": 3,
-        "nu": 0,
-        "R": 1.0,
-        "A": [],
-        "B": [],
-        "check": ["part2", "part3"],
-        "R1": None,
-        "seed": 0,
-        "out": "basis",
-    },
-    "evolve": {
-        "d": 3,
-        "nu": 0,
-        "R": 1.0,
-        "A": [],
-        "B": [],
-        "gaussian": None,
-        "r_max": 16.0,
-        "n_r": 801,
-        "t_final": 4.0,
-        "cfl": 0.45,
-        "store_every": 100,
-        "exact": False,
-        "frames": 9,
-        "seed": 0,
-        "out": "evolve",
-    },
-    "energy": {
-        "d": 3,
-        "nu": 0,
-        "R": 1.0,
-        "A": [],
-        "B": [],
-        "gaussian": None,
-        "r_max": 16.0,
-        "n_r": 801,
-        "t_final": 4.0,
-        "cfl": 0.45,
-        "store_every": 50,
-        "cone_radius": 1.0,
-        "seed": 0,
-        "out": "energy",
-    },
-    "radiation": {
-        "d": 3,
-        "nu": 0,
-        "R": 1.0,
-        "A": [],
-        "B": [],
-        "gaussian": None,
-        "r_max": 16.0,
-        "n_r": 1601,
-        "tail_radii": None,
-        "seed": 0,
-        "out": "radiation",
-    },
-    "nlw": {
-        "d": 3,
-        "nu": 0,
-        "R": 1.0,
-        "A": [],
-        "B": [],
-        "gaussian": None,
-        "r_max": 16.0,
-        "n_r": 801,
-        "t_final": 4.0,
-        "cfl": 0.45,
-        "store_every": 50,
-        "nonlinearity": "defocusing_quintic",
-        "probe_radii": None,
-        "seed": 0,
-        "out": "nlw",
-    },
-    "pipeline": {
-        "t_final": 4.0,
-        "nonlinearity": "defocusing_quintic",
-        "floor_tol": 1e-9,
-        "cutoff_width": 4.0,
-        "snapshots": 32,
-        "seed": 0,
-        "out": "pipeline",
-    },
-}
+_FLAG_TYPES = {"integer": int, "number": float, "string": str}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,114 +184,54 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file, schema-validated")
-    p.add_argument("--out", help="artifact base path (writes <out>.json etc)")
-    p.add_argument("--seed", type=int, help="deterministic seed, echoed in reports")
-
-
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, help="ambient dimension of the mode family")
-    p.add_argument("--nu", type=int, help="harmonic degree of the mode")
-    p.add_argument("--R", type=float, help="exterior radius of the data")
-    p.add_argument("--A", type=float, nargs="*", help="position coefficients")
-    p.add_argument("--B", type=float, nargs="*", help="velocity coefficients")
-
-
-def _add_gaussian_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--gaussian",
-        type=float,
-        nargs=2,
-        metavar=("AMP", "WIDTH"),
-        help="use gaussian bump data instead of a mode",
-    )
-
-
-def _add_grid_flags(p: argparse.ArgumentParser, time: bool = True) -> None:
-    p.add_argument("--r-max", dest="r_max", type=float, help="outer grid radius")
-    p.add_argument("--n-r", dest="n_r", type=int, help="number of radial nodes")
-    if time:
-        p.add_argument("--t-final", dest="t_final", type=float, help="run length")
-        p.add_argument("--cfl", type=float, help="Courant number dt/dr")
-        p.add_argument(
-            "--store-every", dest="store_every", type=int, help="snapshot stride"
-        )
+def _add_schema_flags(p: argparse.ArgumentParser, schema: dict) -> None:
+    """One flag per schema property: --key-name, typed, ranged and described there."""
+    for key, prop in schema["properties"].items():
+        kw: dict[str, Any] = {"help": prop["description"]}
+        if prop.get("type") == "boolean":
+            kw.update(action="store_const", const=True)
+        else:
+            item = prop["items"] if prop.get("type") == "array" else prop
+            if "type" in item:
+                kw["type"] = _FLAG_TYPES[item["type"]]
+            if "enum" in item:
+                kw["choices"] = item["enum"]
+            if prop.get("type") == "array":
+                lo = prop.get("minItems", 0)
+                kw["nargs"] = lo if lo == prop.get("maxItems") else "+" if lo >= 1 else "*"
+        p.add_argument("--" + key.replace("_", "-"), **kw)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wavechannel", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand")
-
-    p = sub.add_parser("lemmas", help="exact interval inequalities on random polynomials")
-    p.add_argument("--variant", choices=("all",) + _VARIANTS)
-    p.add_argument("--degree-max", dest="degree_max", type=int)
-    p.add_argument("--trials", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("basis", help="mode norms and decay ratios")
-    _add_data_flags(p)
-    p.add_argument("--check", nargs="+", choices=("part2", "part3"))
-    p.add_argument("--R1", type=float, nargs="+", help="tail radii for part3")
-    _add_common(p)
-
-    p = sub.add_parser("evolve", help="evolve data and write the trajectory")
-    _add_data_flags(p)
-    _add_gaussian_flag(p)
-    _add_grid_flags(p)
-    p.add_argument("--exact", action="store_const", const=True, help="closed-form evolution")
-    p.add_argument("--frames", type=int, help="stored times for --exact")
-    _add_common(p)
-
-    p = sub.add_parser("energy", help="exterior cone energy along a linear run")
-    _add_data_flags(p)
-    _add_gaussian_flag(p)
-    _add_grid_flags(p)
-    p.add_argument("--cone-radius", dest="cone_radius", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("radiation", help="radiation profile of radial data")
-    _add_data_flags(p)
-    _add_gaussian_flag(p)
-    _add_grid_flags(p, time=False)
-    p.add_argument("--tail-radii", dest="tail_radii", type=float, nargs="+")
-    _add_common(p)
-
-    p = sub.add_parser("nlw", help="nonlinear run with energy and tail diagnostics")
-    _add_data_flags(p)
-    _add_gaussian_flag(p)
-    _add_grid_flags(p)
-    p.add_argument("--nonlinearity", choices=("defocusing_quintic", "focusing_quintic"))
-    p.add_argument("--probe-radii", dest="probe_radii", type=float, nargs="+")
-    _add_common(p)
-
-    p = sub.add_parser("pipeline", help="decay pipeline from a config file")
-    p.add_argument("--config", required=True, help="JSON config file (required)")
-    p.add_argument("--out", help="artifact base path")
+    for name in _HANDLERS:
+        schema = _schema(name)
+        p = sub.add_parser(name, help=schema["description"])
+        if name == "pipeline":
+            p.add_argument("--config", required=True, help="JSON config file (required)")
+            p.add_argument("--out", help=schema["properties"]["out"]["description"])
+        else:
+            _add_schema_flags(p, schema)
+            p.add_argument("--config", help="JSON config file, schema-validated")
     return parser
 
 
 def _effective_config(sub: str, args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS[sub])
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        cfg.update(_load_config(config_path))
-    for key in list(cfg):
+    """Schema defaults (None where there is none), then the config file, then flags."""
+    props = _schema(sub)["properties"]
+    cfg = {key: copy.deepcopy(prop.get("default")) for key, prop in props.items()}
+    if args.config is not None:
+        cfg.update(_load_config(args.config))
+    for key in cfg:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    extra = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in cfg and k not in ("subcommand", "config") and v is not None
-    }
-    cfg.update(extra)
     payload = {k: v for k, v in cfg.items() if v is not None}
-    try:
-        jsonschema.validate(payload, _schema(sub))
-    except jsonschema.ValidationError as e:
-        where = "/".join(str(part) for part in e.absolute_path) or "config"
-        raise UsageError(f"invalid configuration at {where}: {e.message}") from e
+    error = best_match(_validator(sub).iter_errors(payload))
+    if error is not None:
+        where = "/".join(str(part) for part in error.absolute_path) or "config"
+        raise UsageError(f"invalid configuration at {where}: {error.message}")
     return cfg
 
 

@@ -299,27 +299,6 @@ def decay_bound_check(data: ExteriorModeData, R1: float) -> DecayBound:
     return DecayBound(float(tail), float(reference), float(tail / reference), False)
 
 
-@dataclass(frozen=True)
-class RadialSpan:
-    """Admissible power laws for radial (nu = 0) non-radiative data."""
-
-    u0_exponents: tuple[int, ...]
-    u1_exponents: tuple[int, ...]
-
-
-def radial_span(d: int) -> RadialSpan:
-    """Exponent sets {2k-d} spanned by radial exterior data in dimension d.
-
-    Position: 1 <= k <= floor((d+1)/4); velocity: 1 <= k <= floor((d-1)/4).
-    Dimension 2 admits none (data supported in the light cone only).
-    """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    u0 = tuple(2 * k - d for k in range(1, (d + 1) // 4 + 1))
-    u1 = tuple(2 * k - d for k in range(1, (d - 1) // 4 + 1))
-    return RadialSpan(u0, u1)
-
-
 def to_json(data: ExteriorModeData) -> str:
     """Serialize a mode record to the interchange JSON form."""
     return json.dumps(
@@ -331,10 +310,3 @@ def to_json(data: ExteriorModeData) -> str:
             "B": list(data.B),
         }
     )
-
-
-def from_json(text: str) -> ExteriorModeData:
-    """Rebuild a mode record from its JSON form."""
-    rec = json.loads(text)
-    spec = ModeSpec(d=int(rec["d"]), nu=int(rec["nu"]))
-    return build_exterior_mode(spec, float(rec["R"]), rec.get("A", ()), rec.get("B", ()))

@@ -1,13 +1,13 @@
 """Polynomial machinery with exact-rational and floating backends.
 
 Two families orthogonal on [-1, 1] are provided: the Legendre
-polynomials (weight dx) and a modified family orthogonal under the
-shifted weight (x+1)dx.  Both come with exact coefficient
-representations built from their derivative (Rodrigues-type)
-definitions, stable three-term evaluation recurrences, projection and
-Parseval helpers, and the interval sup / weighted-derivative
-inequalities used by the exterior-decay estimates elsewhere in the
-package.
+polynomials (weight dx), exact by their three-term recurrence, and a
+modified family orthogonal under the shifted weight (x+1)dx, exact from
+its Rodrigues-type derivative definition, with their squared norms.
+The module also holds Gauss-Legendre quadrature and the interval sup /
+weighted-derivative inequalities used by the exterior-decay estimates
+elsewhere in the package; their sup sides locate critical points by
+exact Sturm isolation at every degree.
 
 An exact polynomial is stored as integer numerators over one positive
 denominator, the content and primitive-part form (Knuth, TAOCP vol. 2,
@@ -33,24 +33,14 @@ __all__ = [
     "QuadratureRule",
     "LemmaCheck",
     "gauss_nodes",
-    "legendre_eval",
-    "modified_legendre_eval",
     "legendre_poly",
-    "legendre_poly_rodrigues",
     "modified_legendre_poly",
     "modified_legendre_ode_residual",
     "family_norm2",
-    "project",
-    "reconstruct",
     "lemma_check",
-    "lemma_check_unit",
 ]
 
 _EXACT_TYPES = (int, Fraction)
-
-# Projection degree guard; families are cached per degree and the exact
-# integrals grow quadratically with it.
-MAX_PROJECT_DEGREE = 120
 
 
 def _is_exact_scalar(c) -> bool:
@@ -317,40 +307,6 @@ def gauss_nodes(n: int) -> QuadratureRule:
 # Orthogonal families
 
 
-def legendre_eval(n: int, x):
-    """Legendre P_n by the three-term recurrence; accepts arrays."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
-    return p if p.ndim else float(p)
-
-
-def modified_legendre_eval(n: int, x):
-    """Shifted-weight family Q_n by its three-term recurrence.
-
-    Q_0 = 1/2, Q_1 = (3x-1)/4, and
-    (n+1)(2n-1) Q_n = [(4n^2-1)x - 1] Q_{n-1} - (n-1)(2n+1) Q_{n-2}.
-    """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    x = np.asarray(x, dtype=float)
-    q_prev = np.full_like(x, 0.5)
-    if n == 0:
-        return q_prev if q_prev.ndim else float(q_prev)
-    q = (3.0 * x - 1.0) / 4.0
-    for k in range(2, n + 1):
-        q, q_prev = (((4 * k * k - 1) * x - 1.0) * q - (k - 1) * (2 * k + 1) * q_prev) / (
-            (k + 1) * (2 * k - 1)
-        ), q
-    return q if q.ndim else float(q)
-
-
 @lru_cache(maxsize=None)
 def legendre_poly(n: int) -> Poly:
     """Exact P_n via the recurrence."""
@@ -365,20 +321,6 @@ def legendre_poly(n: int) -> Poly:
             Fraction(1, k)
         ), p
     return p
-
-
-@lru_cache(maxsize=None)
-def legendre_poly_rodrigues(n: int) -> Poly:
-    """Exact P_n as the n-th derivative of (x^2-1)^n / (2^n n!)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    base = Poly([-1, 0, 1])
-    p = Poly([1])
-    for _ in range(n):
-        p = p * base
-    for _ in range(n):
-        p = p.deriv()
-    return p.scale(Fraction(1, 2**n * math.factorial(n)))
 
 
 @lru_cache(maxsize=None)
@@ -412,56 +354,6 @@ def family_norm2(family: str, n: int) -> Fraction:
     if family == "modified":
         return Fraction(1, 2 * (n + 1))
     raise ValueError(f"unknown family {family!r}")
-
-
-_FAMILY_WEIGHT = {"legendre": "dx", "modified": "(x+1)dx"}
-
-
-def _family_member(family: str, n: int) -> Poly:
-    if family == "legendre":
-        return legendre_poly(n)
-    if family == "modified":
-        return modified_legendre_poly(n)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def project(poly: Poly, family: str, weight: str) -> list:
-    """Expansion coefficients of ``poly`` in the family, exact integrals.
-
-    The weight must match the family's orthogonality weight
-    ('dx' for legendre, '(x+1)dx' for modified).  Coefficients come
-    back exact for exact input, floats otherwise.
-    """
-    if family not in _FAMILY_WEIGHT:
-        raise ValueError(f"unknown family {family!r}")
-    if weight != _FAMILY_WEIGHT[family]:
-        raise ValueError(
-            f"weight {weight!r} does not match family {family!r} "
-            f"(expected {_FAMILY_WEIGHT[family]!r})"
-        )
-    if poly.degree > MAX_PROJECT_DEGREE:
-        raise ValueError(f"degree {poly.degree} exceeds projection limit {MAX_PROJECT_DEGREE}")
-    was_exact = poly.exact
-    p = poly.to_exact()
-    w = Poly([1]) if family == "legendre" else Poly([1, 1])
-    coeffs = []
-    for n in range(p.degree + 1):
-        num = (w * p * _family_member(family, n)).integrate(Fraction(-1), Fraction(1))
-        a = num / family_norm2(family, n)
-        coeffs.append(a if was_exact else float(a))
-    return coeffs
-
-
-def reconstruct(coeffs, family: str) -> Poly:
-    """Inverse of :func:`project`: sum of coefficients times members."""
-    exact = all(_is_exact_scalar(c) for c in coeffs)
-    acc = Poly([0]) if exact else Poly([0.0])
-    for n, c in enumerate(coeffs):
-        member = _family_member(family, n)
-        if not exact:
-            member = member.to_float()
-        acc = acc + member.scale(c)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -627,31 +519,14 @@ def _refine_root(p: Poly, lo: Fraction, hi: Fraction) -> float:
 def _critical_candidates(src: Poly, a: Fraction, b: Fraction) -> list[Fraction]:
     """Rational approximations of the roots of ``src`` inside [a, b].
 
-    Exact Sturm isolation up to degree 15; beyond that, dense Chebyshev
-    sampling with one Newton refinement.  Every candidate is clipped to
-    the interval, so exact evaluation at a candidate never leaves it.
+    Exact Sturm isolation at every degree, then float bisection inside
+    each isolating bracket.  Every candidate is clipped to the interval,
+    so exact evaluation at a candidate never leaves it.
     """
-    out: list[Fraction] = []
-    if src.is_zero or src.degree == 0:
-        return out
-    if src.degree <= 15:
-        for lo, hi in isolate_real_roots(src, a, b):
-            out.append(Fraction(_refine_root(src, lo, hi)))
-    else:
-        k = src.degree
-        af, bf = float(a), float(b)
-        mid, half = 0.5 * (af + bf), 0.5 * (bf - af)
-        xs = mid + half * np.cos(np.pi * np.arange(10 * k + 1) / (10 * k))
-        vals = src.to_float()(xs)
-        dsrc = src.deriv().to_float()
-        sign_flip = np.where(np.diff(np.sign(vals)) != 0)[0]
-        for i in sign_flip:
-            x0 = 0.5 * (xs[i] + xs[i + 1])
-            d = dsrc(x0)
-            if d != 0:
-                x0 = x0 - src.to_float()(x0) / d
-            out.append(Fraction(float(np.clip(x0, af, bf))))
-    return [min(max(c, a), b) for c in out]
+    return [
+        min(max(Fraction(_refine_root(src, lo, hi)), a), b)
+        for lo, hi in isolate_real_roots(src, a, b)
+    ]
 
 
 def _interval_max(objective: Poly, crit_src: Poly, a: Fraction, b: Fraction) -> Fraction:
@@ -724,43 +599,4 @@ def lemma_check(poly, variant: str, L, l=None) -> LemmaCheck:
         q = z * p.deriv()
         lhs = (z * q * q).integrate(zero, l)
         rhs = Fraction(2 * k * (k + 2)) * l / L * (z * p * p).integrate(zero, L)
-    return LemmaCheck(variant, lhs, rhs, lhs <= rhs)
-
-
-def lemma_check_unit(poly, variant: str, delta) -> LemmaCheck:
-    """Same inequalities after the affine change x = 2z/L - 1 to [-1, 1].
-
-    ``delta`` = 2l/L lies in (0, 1].  Forms:
-
-    sup_odd     max |P|^2                      <= (k+1)^2/2 * int P^2 dx
-    deriv_odd   int_{-1}^{-1+d} ((x+1)P')^2    <= k(k+1) d * int P^2 dx
-    sup_even    max (x+1) P^2                  <= (k+1)^2 * int (x+1) P^2
-    deriv_even  int_{-1}^{-1+d} (x+1)^3 P'^2   <= k(k+2) d * int (x+1) P^2
-    """
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    p = _as_exact_poly(poly)
-    delta = Fraction(delta)
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    if p.is_zero:
-        return LemmaCheck(variant, Fraction(0), Fraction(0), True)
-    k = p.degree
-    lo, hi = Fraction(-1), Fraction(1)
-    cut = lo + delta
-    xp1 = Poly([1, 1])
-    if variant == "sup_odd":
-        lhs = _interval_max(p * p, p.deriv(), lo, hi)
-        rhs = Fraction((k + 1) ** 2, 2) * (p * p).integrate(lo, hi)
-    elif variant == "deriv_odd":
-        q = xp1 * p.deriv()
-        lhs = (q * q).integrate(lo, cut)
-        rhs = Fraction(k * (k + 1)) * delta * (p * p).integrate(lo, hi)
-    elif variant == "sup_even":
-        lhs = _interval_max(xp1 * p * p, p + 2 * (xp1 * p.deriv()), lo, hi)
-        rhs = Fraction((k + 1) ** 2) * (xp1 * p * p).integrate(lo, hi)
-    else:
-        q = p.deriv()
-        lhs = (xp1 * xp1 * xp1 * q * q).integrate(lo, cut)
-        rhs = Fraction(k * (k + 2)) * delta * (xp1 * p * p).integrate(lo, hi)
     return LemmaCheck(variant, lhs, rhs, lhs <= rhs)

@@ -16,8 +16,8 @@ step and every diagnostic accounts for that contaminated band.
 
 Cone-energy diagnostics follow the lifted single-mode convention
 int (u_t^2 + u_r^2) r^(D-1) dr without a sphere-area factor; the
-nonlinear d = 3 diagnostics (critical-norm and sixth-power tails) are
-physical-space integrals and carry the 4 pi.
+nonlinear d = 3 diagnostic (the sixth-power tail) is a
+physical-space integral and carries the 4 pi.
 """
 
 from __future__ import annotations
@@ -489,54 +489,6 @@ def cone_energy(traj: Trajectory, R: float) -> ConeEnergySeries:
 def _require_physical_3d(traj: Trajectory) -> None:
     if traj.fields[0].lifted_dim != 3:
         raise ValueError("physical-space diagnostics require d = 3 radial runs")
-
-
-@dataclass(frozen=True)
-class YNormEstimate:
-    """Critical-norm tail over the computed window, with a window report."""
-
-    value: float
-    half_window_value: float
-    window_delta_rel: float
-    truncated: bool
-
-
-def ynorm_estimate(traj: Trajectory, r: float) -> YNormEstimate:
-    """(int_t [int_{|x|>r+|t|} u^10 dx]^(1/2) dt)^(1/5) over the run window.
-
-    Physical-space integral: the dx carries 4 pi rho^2 d rho.  The half
-    window value is reported so callers can judge convergence of the
-    time integral.
-    """
-    _require_physical_3d(traj)
-    if r <= 0:
-        raise ValueError("tail radius must be positive")
-    g = []
-    for t, fld in zip(traj.times, traj.fields):
-        _check_clean(traj, t, fld)
-        integrand = 4.0 * math.pi * fld.u**10 * fld.r**2
-        g.append(math.sqrt(_moving_tail_integral(fld, r + abs(t), integrand)))
-    g = np.asarray(g)
-    full = float(np.trapezoid(g, x=traj.times)) if traj.times.size > 1 else 0.0
-    # window report: same quadrature with the far |t| half removed
-    half_mask = np.abs(traj.times) <= 0.5 * np.max(np.abs(traj.times)) + 1e-12
-    half = (
-        float(np.trapezoid(g[half_mask], x=traj.times[half_mask]))
-        if np.sum(half_mask) > 1
-        else 0.0
-    )
-    value = full**0.2
-    half_value = half**0.2
-    delta = abs(value - half_value) / value if value > 0 else 0.0
-    # the moving integral always stops at the grid edge; flag whenever
-    # that edge actually cut the domain of integration
-    cut = bool(np.any(r + np.abs(traj.times) < traj.config.r_max))
-    return YNormEstimate(
-        value=value,
-        half_window_value=half_value,
-        window_delta_rel=delta,
-        truncated=cut,
-    )
 
 
 def l6_tail(traj: Trajectory, r: float) -> float:

@@ -6,15 +6,14 @@ radiation field g(s) determines the data up to the static 1/r kernel,
 carries exactly half of the doubled energy, and its mass outside a
 radius balances the late-time exterior cone energies.  This module
 holds the forward and inverse maps, the tail functionals, and the
-numeric machinery (Richardson limits, profile extraction from runs)
-needed to test that balance on computed solutions.
+Richardson limit needed to test that balance on computed solutions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import integrate
@@ -32,11 +31,6 @@ from .radial_solver import (
 )
 
 ArrayLike = Union[float, np.ndarray]
-
-# Doubled-energy ratio int (u0'^2 + u1^2) r^2 dr / (2 int g^2 ds), exact
-# for finite-energy data; frozen and enforced by a regression test.
-RADIATION_ISOMETRY_CONSTANT = 1.0
-
 
 def _gradient4(f: np.ndarray, dx: float) -> np.ndarray:
     """First derivative on a uniform grid, fourth order inside.
@@ -233,43 +227,6 @@ def inverse_map(profile: RadiationProfile) -> RadialData:
     )
 
 
-def future_profile(past: RadiationProfile) -> RadiationProfile:
-    """The forward-time radiation field: g_+(s) = -g_-(-s)."""
-    return RadiationProfile(s=-past.s[::-1], g=-past.g[::-1])
-
-
-def split_radiation(
-    profile: RadiationProfile, r: float
-) -> tuple[RadiationProfile, RadiationProfile]:
-    """Hard partition into |s| <= r and |s| > r pieces on the same grid."""
-    if r <= 0:
-        raise ValueError("split radius must be positive")
-    inner_mask = np.abs(profile.s) <= r
-    inner = RadiationProfile(s=profile.s, g=np.where(inner_mask, profile.g, 0.0))
-    outer = RadiationProfile(s=profile.s, g=np.where(inner_mask, 0.0, profile.g))
-    return inner, outer
-
-
-def dyadic_split(
-    profile: RadiationProfile, r0: float, n_bands: int
-) -> tuple[RadiationProfile, ...]:
-    """Core |s| <= r0 plus annuli r0 2^j < |s| <= r0 2^(j+1).
-
-    The last band is open ended so the pieces always sum back to the
-    profile.
-    """
-    if r0 <= 0 or n_bands < 1:
-        raise ValueError("need a positive core radius and at least one band")
-    a = np.abs(profile.s)
-    masks = [a <= r0]
-    for j in range(n_bands - 1):
-        masks.append((a > r0 * 2**j) & (a <= r0 * 2 ** (j + 1)))
-    masks.append(a > r0 * 2 ** (n_bands - 1))
-    return tuple(
-        RadiationProfile(s=profile.s, g=np.where(m, profile.g, 0.0)) for m in masks
-    )
-
-
 def data_norm2(
     r: np.ndarray,
     u0: np.ndarray,
@@ -322,19 +279,6 @@ def extrapolate_to_zero(xs: Sequence[float], ys: Sequence[ArrayLike]) -> ArrayLi
                 w *= xk / (xk - xj)
         total += w * yj
     return float(total) if np.ndim(total) == 0 else total
-
-
-def extrapolated_exterior_energy(
-    energy: Callable[[float], float], t_max: float, n_nodes: int = 4
-) -> float:
-    """Richardson limit of E(t) as t -> infinity from dyadic samples.
-
-    Samples at t_max / 2^j, j = 0 .. n_nodes-1, extrapolated in 1/t.
-    """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    ts = [t_max / 2**j for j in range(n_nodes)]
-    return extrapolate_to_zero([1.0 / t for t in ts], [energy(t) for t in ts])
 
 
 def _snapshot_index(times: np.ndarray, t: float, dt: float) -> int:
@@ -417,46 +361,3 @@ def channel_identity_check(
     lhs = 4.0 * math.pi * (e_plus + e_minus)
     total = 4.0 * math.pi * data_norm2(fld.r, fld.u, fld.ut, du0=du0)
     return ChannelBalance(lhs=lhs, rhs=rhs, e_plus=e_plus, e_minus=e_minus, total=total)
-
-
-def numeric_future_profile(
-    traj: Trajectory,
-    n_nodes: int = 4,
-    n_s: int = 400,
-    s_min: Optional[float] = None,
-    s_max: Optional[float] = None,
-) -> RadiationProfile:
-    """Estimate g_+(s) from a run via r u_t sampled at s + t, t -> inf.
-
-    Richardson in 1/t over dyadic node times t_end / 2^j.  The s window
-    is the largest one every node time can serve from its clean region,
-    optionally clamped by s_min/s_max.  The counterwave correction at a
-    node decays like the data tail at radius s + 2t, so every node time
-    must clear the backward cone of the support; few large nodes beat
-    many small ones once the small ones dip inside it.
-    """
-    _require_healthy(traj)
-    t_end = float(traj.times[-1])
-    if t_end <= 0:
-        raise ValueError("trajectory must reach a positive time")
-    node_ts = [t_end / 2**j for j in range(n_nodes)]
-    r = traj.r
-    dt_store = float(traj.times[1] - traj.times[0]) if traj.times.size > 1 else 0.0
-    s_lo = float(r[0]) - min(node_ts)
-    s_hi = min(min(traj.clean_radius(t), float(r[-1])) - t for t in node_ts)
-    if s_min is not None:
-        s_lo = max(s_lo, float(s_min))
-    if s_max is not None:
-        s_hi = min(s_hi, float(s_max))
-    if s_hi <= s_lo:
-        raise ValueError("empty radiation window after clamping")
-    if s_hi - s_lo < 0.1 * (r[-1] - r[0]) and s_min is None and s_max is None:
-        raise ValueError("clean regions too small to extract a radiation window")
-    s = np.linspace(s_lo, s_hi, n_s)
-    xs, samples = [], []
-    for t in node_ts:
-        idx = _snapshot_index(traj.times, t, max(dt_store, 1e-300))
-        t_i = float(traj.times[idx])
-        xs.append(1.0 / t_i)
-        samples.append(np.interp(s + t_i, r, r * traj.fields[idx].ut))
-    return RadiationProfile(s=s, g=extrapolate_to_zero(xs, samples))

@@ -2,21 +2,25 @@
 
 Most of these avoid the exact rational code paths: they are float
 quadrature over the physical radial variable, so agreement with the
-library's closed forms is meaningful evidence.  The Sturm references
-are the other kind: the library's root isolation written plainly, in
-``Fraction`` long division and ``np.polyval`` bisection, for bit-for-bit
-comparison with its integer form.
+library's closed forms is meaningful evidence.  The family references
+are second constructions of the library's objects: Legendre P_n by
+Rodrigues' formula, both families' float three-term recurrences, and
+the radial exponent span from the power-law count.  The Sturm references
+are the library's root isolation written plainly, in ``Fraction`` long
+division and ``np.polyval`` bisection, for bit-for-bit comparison with
+its integer form.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from wavechannel import exterior_basis as eb
-from wavechannel.polylib import gauss_nodes
+from wavechannel.polylib import Poly, gauss_nodes
 
 
 def halfline_rule(R: float, n: int = 120) -> tuple[np.ndarray, np.ndarray]:
@@ -41,6 +45,68 @@ def exterior_norms_quadrature(data: eb.ExteriorModeData, n: int = 120) -> eb.Ser
     u1_norm2 = float(np.sum(w * vals.u1**2 * r ** (d - 1)))
     du0_norm2 = float(np.sum(w * vals.du0_dr**2 * r ** (d - 1)))
     return eb.SeriesNorms(angular, u1_norm2, du0_norm2)
+
+
+def legendre_eval(n: int, x):
+    """Legendre P_n by the three-term recurrence; accepts arrays."""
+    x = np.asarray(x, dtype=float)
+    p_prev = np.ones_like(x)
+    if n == 0:
+        return p_prev if p_prev.ndim else float(p_prev)
+    p = x.copy()
+    for k in range(2, n + 1):
+        p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
+    return p if p.ndim else float(p)
+
+
+def modified_legendre_eval(n: int, x):
+    """Shifted-weight family Q_n by its three-term recurrence.
+
+    Q_0 = 1/2, Q_1 = (3x-1)/4, and
+    (n+1)(2n-1) Q_n = [(4n^2-1)x - 1] Q_{n-1} - (n-1)(2n+1) Q_{n-2}.
+    """
+    x = np.asarray(x, dtype=float)
+    q_prev = np.full_like(x, 0.5)
+    if n == 0:
+        return q_prev if q_prev.ndim else float(q_prev)
+    q = (3.0 * x - 1.0) / 4.0
+    for k in range(2, n + 1):
+        q, q_prev = (((4 * k * k - 1) * x - 1.0) * q - (k - 1) * (2 * k + 1) * q_prev) / (
+            (k + 1) * (2 * k - 1)
+        ), q
+    return q if q.ndim else float(q)
+
+
+def legendre_poly_rodrigues(n: int) -> Poly:
+    """Exact P_n as the n-th derivative of (x^2-1)^n / (2^n n!)."""
+    base = Poly([-1, 0, 1])
+    p = Poly([1])
+    for _ in range(n):
+        p = p * base
+    for _ in range(n):
+        p = p.deriv()
+    return p.scale(Fraction(1, 2**n * math.factorial(n)))
+
+
+@dataclass(frozen=True)
+class RadialSpan:
+    """Admissible power laws for radial (nu = 0) non-radiative data."""
+
+    u0_exponents: tuple[int, ...]
+    u1_exponents: tuple[int, ...]
+
+
+def radial_span(d: int) -> RadialSpan:
+    """Exponent sets {2k-d} spanned by radial exterior data in dimension d.
+
+    Position: 1 <= k <= floor((d+1)/4); velocity: 1 <= k <= floor((d-1)/4).
+    Dimension 2 admits none (data supported in the light cone only).
+    """
+    if not isinstance(d, int) or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+    u0 = tuple(2 * k - d for k in range(1, (d + 1) // 4 + 1))
+    u1 = tuple(2 * k - d for k in range(1, (d - 1) // 4 + 1))
+    return RadialSpan(u0, u1)
 
 
 def reference_leapfrog(initial, config) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:

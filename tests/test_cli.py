@@ -1,7 +1,9 @@
 """Contract tests for the command line: exit codes, artifacts, determinism."""
 
+import argparse
 import dataclasses
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 
 from wavechannel import radial_solver as rs
 from wavechannel import radiation3 as rad
+from wavechannel import cli
 from wavechannel.cli import run
 
 
@@ -88,6 +91,59 @@ class TestValidation:
             schema = json.loads(root.joinpath(name).read_text())
             jsonschema.Draft202012Validator.check_schema(schema)
             assert schema["additionalProperties"] is False
+
+
+SUBCOMMANDS = ("lemmas", "basis", "evolve", "energy", "radiation", "nlw", "pipeline")
+FROZEN_DEFAULTS = Path(__file__).parent / "data" / "cli_defaults.json"
+
+
+class TestSchemas:
+    """Each option is written once, in its schema; flags and defaults follow it.
+
+    tests/data/cli_defaults.json holds the starting configuration of each
+    subcommand as the artifacts echo it.
+    """
+
+    def test_every_default_fits_its_own_property(self):
+        for sub in SUBCOMMANDS:
+            for key, prop in cli._schema(sub)["properties"].items():
+                if "default" in prop:
+                    jsonschema.Draft202012Validator(prop).validate(prop["default"])
+                assert prop["description"], (sub, key)
+
+    @pytest.mark.parametrize("sub", [s for s in SUBCOMMANDS if s != "pipeline"])
+    def test_every_property_is_a_flag(self, sub, capsys):
+        assert run([sub, "--help"]) == 0
+        text = capsys.readouterr().out
+        for key in cli._schema(sub)["properties"]:
+            assert f"--{key.replace('_', '-')} " in text, (sub, key)
+
+    def test_pipeline_takes_only_config_and_out(self, capsys):
+        assert run(["pipeline", "--help"]) == 0
+        flags = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--config", "--out"}
+        assert run(["pipeline", "--config", "x.json", "--t-final", "2"]) == 1
+
+    def test_starting_config_equals_the_frozen_defaults(self, outdir):
+        # json.dumps tells 1 from 1.0, as the artifacts' config echo does
+        frozen = json.loads(FROZEN_DEFAULTS.read_text())
+        assert sorted(frozen) == sorted(SUBCOMMANDS)
+        required = dict(PIPE_CFG)
+        assert sorted(required) == sorted(cli._schema("pipeline")["required"])
+        cfg_path = outdir / "required.json"
+        cfg_path.write_text(json.dumps(required))
+        for sub in SUBCOMMANDS:
+            config = str(cfg_path) if sub == "pipeline" else None
+            got = cli._effective_config(sub, argparse.Namespace(config=config))
+            if sub == "pipeline":
+                got = {k: v for k, v in got.items() if k not in required}
+            assert json.dumps(got, sort_keys=True) == json.dumps(frozen[sub], sort_keys=True), sub
+
+    def test_empty_probe_radii_in_a_config_exits_1(self, outdir, capsys):
+        cfg = outdir / "noprobes.json"
+        cfg.write_text(json.dumps({"gaussian": [0.5, 1.5], "probe_radii": []}))
+        assert run(["nlw", "--config", str(cfg)]) == 1
+        assert "invalid configuration at probe_radii" in capsys.readouterr().err
 
 
 class TestLemmas:

@@ -1,0 +1,89 @@
+"""Every public name in src/wavechannel is reached by a command, a script or perfbench.
+
+A name counts as reached when the console entry point, a file under
+scripts/ or a file under perfbench/ uses it, or when a reached
+top-level definition of the package uses it.  Uses are read from the
+AST: plain names, attribute names and imported names, matched by name
+alone, so a clash between two modules can only let a name through.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "wavechannel"
+
+# Public names that only tests read, each kept for the reason given.
+KEPT = {
+    "legendre_poly": "the exact P_n whose norms criterion 01 and the family tests check",
+    "modified_legendre_poly": "the exact Q_n whose norms criterion 01 and the family tests check",
+    "modified_legendre_ode_residual": "criterion 01's exact check of the modified family's ODE",
+    "family_norm2": "closed-form family norms that criterion 01 compares with exact integrals",
+    "gauss_nodes": "the Gauss-Legendre rule behind the quadrature oracles in tests/oracles.py",
+    "QuadratureRule": "the rule that gauss_nodes returns",
+    "eval_profiles": "float mode profiles that the quadrature norm oracle integrates",
+    "eval_exact": "pointwise chain values, checked against finite differences and closed forms",
+    "exact_cone_energy": "exact cone energy of one chain, checked against closed forms",
+}
+
+
+def _uses(node: ast.AST) -> set[str]:
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.split(".")[-1])
+    return out
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def unreached_public_names() -> dict[str, str]:
+    """Public top-level names of the package that no root reaches, by module."""
+    graph: dict[str, set[str]] = {}
+    public: dict[str, str] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for name in _defined(stmt):
+                if name == "__all__":
+                    continue
+                graph.setdefault(name, set()).update(_uses(stmt))
+                if not name.startswith("_"):
+                    public[name] = path.name
+    roots = set(re.findall(r'"wavechannel\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        roots |= _uses(ast.parse(path.read_text()))
+    reached: set[str] = set()
+    stack = [name for name in roots if name in graph]
+    while stack:
+        name = stack.pop()
+        if name not in reached:
+            reached.add(name)
+            stack.extend(graph[name] & graph.keys())
+    return {name: module for name, module in public.items() if name not in reached}
+
+
+def test_roots_are_found():
+    unreached = unreached_public_names()
+    for name in ("main", "run", "lemma_check", "solve_quintic", "channel_identity_check"):
+        assert name not in unreached
+
+
+def test_every_public_name_is_reached_or_kept():
+    unreached = unreached_public_names()
+    extra = {name: module for name, module in unreached.items() if name not in KEPT}
+    assert not extra, f"public names reached only by tests: {extra}"
+    stale = sorted(set(KEPT) - set(unreached))
+    assert not stale, f"kept names that are reached now, drop them from KEPT: {stale}"

@@ -76,26 +76,6 @@ class TestProfileBasics:
         # flat profile: tail mass is just the leftover length
         assert p.tail2(0.3) == pytest.approx(4.0 - 0.6, rel=1e-14)
 
-    def test_split_partition(self):
-        rng = np.random.default_rng(7)
-        p = band_limited_profile(rng)
-        inner, outer = rad.split_radiation(p, 2.5)
-        assert inner.norm2() + outer.norm2() == pytest.approx(p.norm2(), rel=1e-12)
-        # the node mask drops at most one straddling cell per cut point
-        ds = p.s[1] - p.s[0]
-        slack = 2.0 * ds * np.max(p.g**2)
-        assert abs(outer.norm2() - p.tail2(2.5)) <= slack
-
-    def test_dyadic_split_partition(self):
-        rng = np.random.default_rng(11)
-        p = band_limited_profile(rng)
-        pieces = rad.dyadic_split(p, 1.0, 4)
-        assert len(pieces) == 5
-        total = sum(q.norm2() for q in pieces)
-        assert total == pytest.approx(p.norm2(), rel=1e-12)
-        back = np.sum([q.g for q in pieces], axis=0)
-        assert np.array_equal(back, p.g)
-
 
 class TestForwardMap:
     def test_gaussian_closed_form(self):
@@ -128,9 +108,6 @@ class TestForwardMap:
 
 
 class TestIsometry:
-    def test_constant_frozen(self):
-        assert rad.RADIATION_ISOMETRY_CONSTANT == 1.0
-
     def test_gaussian_both_sides_closed_form(self):
         r, u0, u1, du0 = gaussian_pair(n=8001, r_max=12.0)
         # int (u0'^2 + u1^2) r^2 dr = (15/32) sqrt(pi/2), both routes
@@ -140,7 +117,7 @@ class TestIsometry:
         assert lhs == pytest.approx(expect, rel=1e-12)
         assert 2 * p.norm2() == pytest.approx(expect, rel=1e-12)
         ratio = rad.isometry_ratio(r, u0, u1, du0=du0)
-        assert ratio == pytest.approx(rad.RADIATION_ISOMETRY_CONSTANT, rel=1e-12)
+        assert ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_random_band_limited(self):
         # zero-mean profiles: nonzero charge would park energy in the
@@ -187,27 +164,11 @@ class TestInverseMap:
 
 
 class TestFuturePast:
-    def test_involution(self):
-        rng = np.random.default_rng(17)
-        p = band_limited_profile(rng)
-        q = rad.future_profile(rad.future_profile(p))
-        assert np.array_equal(q.s, p.s)
-        assert np.array_equal(q.g, p.g)
-
     def test_time_reversal_reflects_profile(self):
         r, u0, u1, du0 = gaussian_pair()
         p = rad.forward_map(r, u0, u1, du0=du0)
         p_rev = rad.forward_map(r, u0, -u1, du0=du0)
         assert np.max(np.abs(p_rev.g - p.g[::-1])) < 1e-14
-
-    def test_future_profile_of_even_data(self):
-        # u1 = 0: g is even, so g_+ = -g_- pointwise
-        r, u0, _, du0 = gaussian_pair()
-        p = rad.forward_map(r, u0, np.zeros_like(r), du0=du0)
-        f = rad.future_profile(p)
-        assert np.max(np.abs(f.g + p.g[::-1])) == 0.0
-        expect = -0.5 * (1 - 2 * f.s**2) * np.exp(-(f.s**2))
-        assert np.max(np.abs(f.g - expect)) < 1e-13
 
 
 class TestModeRadiation:
@@ -238,17 +199,6 @@ class TestExtrapolation:
         with pytest.raises(ValueError):
             rad.extrapolate_to_zero([0.1, 0.1], [1.0, 2.0])
 
-    def test_energy_helper_calls_dyadic_times(self):
-        seen = []
-
-        def energy(t):
-            seen.append(t)
-            return 2.0 + 1.0 / t
-
-        val = rad.extrapolated_exterior_energy(energy, 16.0, n_nodes=4)
-        assert seen == [16.0, 8.0, 4.0, 2.0]
-        assert val == pytest.approx(2.0, rel=1e-12)
-
 
 def snapped_config(r_max, n_r, t_final, **kw):
     """Config whose dt divides t_final/8, so dyadic times are stored."""
@@ -259,32 +209,6 @@ def snapped_config(r_max, n_r, t_final, **kw):
         r_max=r_max, n_r=n_r, t_final=t_final, cfl=dt / dr,
         store_every=n_total // 8, **kw
     )
-
-
-class TestNumericProfile:
-    def test_matches_dalembert_limit(self):
-        cfg = snapped_config(30.0, 3001, 8.0)
-        fld = rs.field_from_callables(
-            cfg, lambda r: np.exp(-(r**2)), lambda r: np.zeros_like(r), lifted_dim=3
-        )
-        traj = rs.solve_mode_linear(fld, cfg)
-        # node times must all clear the backward cone of the support:
-        # the counterwave error at a node is f'(-s - 2t), O(1) once the
-        # smallest node time dips inside it
-        prof = rad.numeric_future_profile(traj, n_nodes=2, s_min=-1.0)
-        expect = -0.5 * (1 - 2 * prof.s**2) * np.exp(-(prof.s**2))
-        scale = np.max(np.abs(expect))
-        assert np.max(np.abs(prof.g - expect)) <= 5e-3 * scale
-
-    def test_blown_up_run_is_refused(self):
-        cfg = snapped_config(30.0, 301, 8.0, blowup_threshold=1e-3)
-        fld = rs.field_from_callables(
-            cfg, lambda r: np.exp(-(r**2)), lambda r: np.zeros_like(r), lifted_dim=3
-        )
-        traj = rs.solve_mode_linear(fld, cfg)
-        assert traj.blown_up
-        with pytest.raises(rs.NumericalError, match="the linear run blew up; last stored snapshot at t=0"):
-            rad.numeric_future_profile(traj, n_nodes=2, s_min=-1.0)
 
 
 class TestChannelBalance:
