@@ -463,9 +463,9 @@ def _run_nlw(cfg: dict, base: Path) -> dict:
         "csv": csv_path.name,
     }
     if cfg["probe_radii"] is not None:
+        tails = _numerical_guard(lambda: rs.l6_tail(traj, cfg["probe_radii"]))
         report["l6_tails"] = [
-            {"r": p, "value": _numerical_guard(lambda p=p: rs.l6_tail(traj, p))}
-            for p in cfg["probe_radii"]
+            {"r": p, "value": float(v)} for p, v in zip(cfg["probe_radii"], tails)
         ]
     return report
 

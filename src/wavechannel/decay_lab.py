@@ -368,7 +368,7 @@ def nonlinear_decay_pipeline(
         raise NumericalError(
             "the nonlinear run blew up; reduce t_final or the data amplitude"
         )
-    l6_values = np.array([l6_tail(traj, float(p)) for p in probes])
+    l6_values = l6_tail(traj, probes)
     six_mass = float(np.trapezoid(4.0 * math.pi * data.u**6 * r**2, r))
     l6_fit = _fit_or_floor(probes, l6_values, floor_tol * max(six_mass, 1e-300))
     l6_report = DecayReport(

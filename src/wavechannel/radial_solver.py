@@ -5,14 +5,16 @@ Two equations are covered on a uniform radial grid:
     lifted linear:  u_tt = u_rr + ((D-1)/r) u_r            (any D >= 2)
     radial quintic: u_tt = u_rr + (2/r) u_r + F(u),  d = 3, |F(u)| <= C|u|^5
 
-The scheme is leapfrog in time with centered second-order space.  At
-r = 0 regular data is evolved through the even-parity limit of the
-operator (D * u_rr); a positive r_min uses one-sided stencils
-instead.  The outer edge is closed either by exact ghost values from an
-ExteriorDescriptor (basis data evolves in closed form, so the boundary
-is not an approximation at all) or by quadratic extrapolation, in which
-case the numerical domain of dependence shrinks by exactly one cell per
-step and every diagnostic accounts for that contaminated band.
+The scheme is leapfrog in time with centered second-order space, folded
+into three diagonals built once per run: the centred interior rows, the
+even-parity origin row (the operator's limit D * u_rr at r = 0) and the
+ghost row, so a step is a few array passes.  Grids start at r = 0; a
+positive r_min is refused.  The outer edge is closed either by exact
+ghost values from an ExteriorDescriptor (basis data evolves in closed
+form, so the boundary is not an approximation at all) or by quadratic
+extrapolation, in which case the numerical domain of dependence shrinks
+by exactly one cell per step and every diagnostic accounts for that
+contaminated band.
 
 Cone-energy diagnostics follow the lifted single-mode convention
 int (u_t^2 + u_r^2) r^(D-1) dr without a sphere-area factor; the
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .exterior_basis import ExteriorModeData, ModeSpec, build_exterior_mode, eva
 
 NONLINEARITIES = ("none", "defocusing_quintic", "focusing_quintic")
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 class NumericalError(ValueError):
@@ -43,9 +46,12 @@ class NumericalError(ValueError):
 class SolverConfig:
     """Grid, stepping, and equation selection for one run.
 
-    The parity closure at r = 0 tightens the usable Courant number to
-    about sqrt(2/D) in lifted dimension D; the default cfl 0.45 is inside
-    that limit for every D <= 9, and _solve rejects anything beyond it.
+    The stepper needs r_min = 0, since its origin row is the parity
+    closure, and refuses any other grid; a positive r_min still describes
+    stored trajectories for the diagnostics.  The parity closure tightens
+    the usable Courant number to about sqrt(2/D) in lifted dimension D;
+    the default cfl 0.45 is inside that limit for every D <= 9, and
+    _solve rejects anything beyond it.
     That limit does not make runs stable for D >= 6: next to the origin
     the centred ((D-1)/r) u_r stencil has complex eigenvalues there, and
     runs blow up after a few time units at any cfl (ROADMAP item 1).
@@ -259,47 +265,77 @@ def gaussian_bump(
 # stepping
 
 
-def _nonlinear_term(config: SolverConfig) -> Callable[[np.ndarray], np.ndarray]:
-    if config.nonlinearity == "none":
-        return lambda u: 0.0
-    if config.nonlinearity == "defocusing_quintic":
-        return lambda u: -(u**5)
-    return lambda u: u**5  # focusing_quintic
+def _fifth_power(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """u**5 into out, as u (u^2)^2.
 
-
-def _ghost_value(u: np.ndarray, t: float, boundary: Optional[Callable[[float], float]]) -> float:
-    if boundary is not None:
-        return boundary(t)
-    return 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
-
-
-def _spatial_operator(
-    u: np.ndarray,
-    out: np.ndarray,
-    r: np.ndarray,
-    dr: float,
-    D: int,
-    coef: np.ndarray,
-    g: float,
-) -> np.ndarray:
-    """u_rr + ((D-1)/r) u_r into out, with parity, one-sided, and ghost closures.
-
-    coef is (D-1)/r[1:-1] and g the ghost value at r[-1] + dr.
+    numpy's pow takes a slow path wherever the power underflows, and
+    smooth data has long underflowing tails; the products differ from it
+    by a few ulp.
     """
-    inv_dr2 = 1.0 / dr**2
-    out[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) * inv_dr2 + coef * (u[2:] - u[:-2]) / (2 * dr)
-    if r[0] == 0.0:
-        # even parity: operator limit is D * u_rr at the origin
-        out[0] = D * 2.0 * (u[1] - u[0]) * inv_dr2
-    else:
-        urr = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) * inv_dr2
-        ur = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dr)
-        out[0] = urr + (D - 1) / r[0] * ur
-    out[-1] = (g - 2 * u[-1] + u[-2]) * inv_dr2 + (D - 1) / r[-1] * (g - u[-2]) / (2 * dr)
-    return out
+    np.multiply(u, u, out=out)
+    np.multiply(out, out, out=out)
+    return np.multiply(out, u, out=out)
+
+
+def _sixth_power(u: np.ndarray) -> np.ndarray:
+    """u**6 as (u^2)^3, for the reason given in _fifth_power."""
+    u2 = u * u
+    return u2 * u2 * u2
+
+
+def _leapfrog_weights(
+    r: np.ndarray, dr: float, dt: float, D: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The three diagonals of one leapfrog step, and the ghost's weight.
+
+    A linear step is u_next = di u + lo u_(j-1) + up u_(j+1) + w_g g - u_prev,
+    which is 2 u - u_prev + dt^2 (u_rr + ((D-1)/r) u_r) on the centred
+    second-order stencil: lo[j-1] is row j's weight on u[j-1] and up[j]
+    its weight on u[j+1].  Row 0 is the even-parity limit of the operator
+    at r = 0, D u_rr = 2 D (u_1 - u_0) / dr^2, and the last row reads the
+    ghost value g at r[-1] + dr.
+    """
+    a = dt**2 / dr**2
+    c = (0.5 * (D - 1) * dt**2 / dr) / r[1:]  # the u_r weight of rows 1 .. n-1
+    di = np.full(r.size, 2.0 - 2.0 * a)
+    di[0] = 2.0 - 2.0 * D * a
+    lo = a - c
+    up = np.empty(r.size - 1)
+    up[0] = 2.0 * D * a
+    up[1:] = a + c[:-1]
+    return di, lo, up, float(a + c[-1])
+
+
+def _health_test(threshold: float) -> Callable[[np.ndarray], bool]:
+    """The test max|u| <= threshold with every value finite, mostly in one pass.
+
+    Rounding is monotone, and any order of summing non-negative terms
+    gives at least the largest of them, so a u with max|u| > threshold has
+    dot(u, u) >= fl(threshold^2) > limit.  A sum below the limit therefore
+    passes; NaN, inf and sums near the threshold take the exact test, and
+    so does every u when threshold^2 is not a finite normal float.
+    """
+
+    def exact(u: np.ndarray) -> bool:
+        m = float(np.max(np.abs(u)))
+        return m <= threshold and math.isfinite(m)
+
+    square = threshold * threshold
+    if not (threshold > 0 and _TINY <= square < math.inf):
+        return exact
+    limit = square * (1.0 - 4.0 * _EPS)
+
+    def healthy(u: np.ndarray) -> bool:
+        return float(np.dot(u, u)) < limit or exact(u)
+
+    return healthy
 
 
 def _solve(initial: RadialGridField, config: SolverConfig, spec: ModeSpec) -> Trajectory:
+    if config.r_min != 0.0:
+        raise ValueError(
+            f"the stepper closes its grid at r = 0 by parity; got r_min={config.r_min}"
+        )
     r = config.radial_grid()
     if initial.r.shape != r.shape or not np.allclose(initial.r, r, rtol=1e-12):
         raise ValueError("initial data grid does not match the solver configuration")
@@ -312,36 +348,40 @@ def _solve(initial: RadialGridField, config: SolverConfig, spec: ModeSpec) -> Tr
             f"the origin closure requires cfl <= sqrt(2/D) = {math.sqrt(2.0 / D):.4f}"
         )
     stride, n_steps = config.stride, config.n_steps
-    F = _nonlinear_term(config)
-    # everything fixed for the run: the ghost radius, (D-1)/r, dt^2, the buffers
+    # fixed for the run: the ghost, the diagonals, the factor of u^5 in dt^2 F(u), a buffer
     boundary = desc.boundary(r[-1] + dr) if desc is not None else None
-    coef = (D - 1) / r[1:-1]
-    dt2 = dt**2
-    op = np.empty_like(r)
+    di, lo, up, w_g = _leapfrog_weights(r, dr, dt, D)
+    quintic = {"none": 0.0, "defocusing_quintic": -(dt**2), "focusing_quintic": dt**2}[
+        config.nonlinearity
+    ]
     scratch = np.empty_like(r)
 
-    def rhs(u: np.ndarray, t: float) -> np.ndarray:
-        _spatial_operator(u, op, r, dr, D, coef, _ghost_value(u, t, boundary))
-        return np.add(op, F(u), out=op)
+    def advance(u: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+        """2 u + dt^2 (u_rr + ((D-1)/r) u_r + F(u)) into out."""
+        g = boundary(t) if boundary is not None else 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
+        np.multiply(di, u, out=out)
+        out[1:] += np.multiply(lo, u[:-1], out=scratch[1:])
+        out[:-1] += np.multiply(up, u[1:], out=scratch[:-1])
+        out[-1] += w_g * g
+        if quintic:
+            out += np.multiply(_fifth_power(u, scratch), quintic, out=scratch)
+        return out
 
+    healthy = _health_test(config.blowup_threshold)
     stored_t: list[float] = [0.0]
     stored: list[RadialGridField] = [initial]
 
-    def healthy(u: np.ndarray) -> bool:
-        # NaN survives the max; isfinite also catches overflow when the threshold is inf
-        m = float(np.max(np.abs(u, out=scratch)))
-        return m <= config.blowup_threshold and math.isfinite(m)
-
+    # u_1 = u_0 + dt u_t + (dt^2 / 2)(u_rr + ((D-1)/r) u_r + F)(u_0)
     u_prev = initial.u.copy()
-    u_curr = u_prev + dt * initial.ut + 0.5 * dt2 * rhs(u_prev, 0.0)
+    u_curr = advance(u_prev, 0.0, np.empty_like(r))
+    u_curr *= 0.5
+    u_curr += dt * initial.ut
     u_next = np.empty_like(r)
     blown_up = not healthy(u_curr)
     n = 1
     while n <= n_steps and not blown_up:
-        # u_next = 2 u_curr - u_prev + dt^2 rhs, in place and in that order
-        np.multiply(2, u_curr, out=u_next)
+        advance(u_curr, n * dt, u_next)
         u_next -= u_prev
-        u_next += np.multiply(dt2, rhs(u_curr, n * dt), out=scratch)
         if not healthy(u_next):
             blown_up = True
             break
@@ -401,8 +441,8 @@ def total_energy(fld: RadialGridField, nonlinearity: str = "none") -> float:
     """
     pot = {
         "none": lambda u: 0.0,
-        "defocusing_quintic": lambda u: u**6 / 3.0,
-        "focusing_quintic": lambda u: -(u**6) / 3.0,
+        "defocusing_quintic": lambda u: _sixth_power(u) / 3.0,
+        "focusing_quintic": lambda u: -_sixth_power(u) / 3.0,
     }
     if nonlinearity not in pot:
         raise ValueError(f"no conserved functional known for {nonlinearity!r}")
@@ -491,14 +531,20 @@ def _require_physical_3d(traj: Trajectory) -> None:
         raise ValueError("physical-space diagnostics require d = 3 radial runs")
 
 
-def l6_tail(traj: Trajectory, r: float) -> float:
-    """max over stored times of int_{|x|>r+|t|} u^6 dx (physical d = 3)."""
+def l6_tail(traj: Trajectory, radii: Sequence[float]) -> np.ndarray:
+    """max over stored times of int_{|x|>r+|t|} u^6 dx (physical d = 3), for each r in radii.
+
+    One pass over the snapshots serves every radius; each value equals a
+    call with that radius alone.
+    """
     _require_physical_3d(traj)
-    if r <= 0:
-        raise ValueError("tail radius must be positive")
-    worst = 0.0
+    radii = [float(r) for r in radii]
+    if not all(r > 0 for r in radii):
+        raise ValueError("tail radii must be positive")
+    worst = np.zeros(len(radii))
     for t, fld in zip(traj.times, traj.fields):
         _check_clean(traj, t, fld)
-        integrand = 4.0 * math.pi * fld.u**6 * fld.r**2
-        worst = max(worst, _moving_tail_integral(fld, r + abs(t), integrand))
+        integrand = 4.0 * math.pi * _sixth_power(fld.u) * fld.r**2
+        for i, r in enumerate(radii):
+            worst[i] = max(worst[i], _moving_tail_integral(fld, r + abs(t), integrand))
     return worst

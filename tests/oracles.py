@@ -8,7 +8,9 @@ Rodrigues' formula, both families' float three-term recurrences, and
 the radial exponent span from the power-law count.  The Sturm references
 are the library's root isolation written plainly, in ``Fraction`` long
 division and ``np.polyval`` bisection, for bit-for-bit comparison with
-its integer form.
+its integer form.  The leapfrog references are the radial stepper
+written plainly: once in the solver's own rounding order, once in the
+centred-stencil order.
 """
 
 from __future__ import annotations
@@ -109,13 +111,68 @@ def radial_span(d: int) -> RadialSpan:
     return RadialSpan(u0, u1)
 
 
-def reference_leapfrog(initial, config) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """The linear leapfrog stepper written plainly, as a bit-for-bit reference.
+def folded_leapfrog(initial, config) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The linear leapfrog stepper on its three diagonals, as a bit-for-bit reference.
 
-    Same scheme and the same float operations in the same order as
-    `radial_solver._solve` on a grid from r = 0, but with fresh arrays
-    every step and the descriptor ghost from `ExteriorDescriptor.eval`
-    at every step.  Returns stored times, u and u_t rows, and blown_up.
+    The same float operations in the same order as `radial_solver._solve`
+    on a grid from r = 0, but with the weights formed inline and fresh
+    arrays every step, and the descriptor ghost from
+    `ExteriorDescriptor.eval` at every step.  Returns stored times, u and
+    u_t rows, and blown_up.
+    """
+    r = config.radial_grid()
+    D, desc = initial.lifted_dim, initial.descriptor
+    dr, dt = config.dr, config.dt
+    assert r[0] == 0.0 and config.nonlinearity == "none"
+
+    def advance(u, t):
+        # 2 u + dt^2 (u_rr + ((D-1)/r) u_r): interior, parity origin and ghost rows
+        a = dt**2 / dr**2
+        c = (0.5 * (D - 1) * dt**2 / dr) / r[1:]
+        di = np.concatenate([[2.0 - 2.0 * D * a], np.full(r.size - 1, 2.0 - 2.0 * a)])
+        lo = a - c
+        up = np.concatenate([[2.0 * D * a], a + c[:-1]])
+        if desc is not None:
+            g = float(desc.eval(r[-1] + dr, t).u)
+        else:
+            g = 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
+        out = di * u
+        out[1:] = out[1:] + lo * u[:-1]
+        out[:-1] = out[:-1] + up * u[1:]
+        out[-1] = out[-1] + (a + c[-1]) * g
+        return out
+
+    def healthy(u):
+        return bool(np.all(np.isfinite(u)) and np.max(np.abs(u)) <= config.blowup_threshold)
+
+    times, us, uts = [0.0], [initial.u], [initial.ut]
+    u_prev = initial.u.copy()
+    u_curr = 0.5 * advance(u_prev, 0.0) + dt * initial.ut
+    blown_up = not healthy(u_curr)
+    n = 1
+    while n <= config.n_steps and not blown_up:
+        u_next = advance(u_curr, n * dt) - u_prev
+        if not healthy(u_next):
+            blown_up = True
+            break
+        if n % config.stride == 0:
+            times.append(n * dt)
+            us.append(u_curr.copy())
+            uts.append((u_next - u_prev) / (2 * dt))
+        u_prev, u_curr = u_curr, u_next
+        n += 1
+    return np.asarray(times), np.asarray(us), np.asarray(uts), blown_up
+
+
+def centred_leapfrog(initial, config) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The linear leapfrog stepper in its centred-stencil form.
+
+    The same scheme as `radial_solver._solve`, rounded in another order:
+    the operator u_rr + ((D-1)/r) u_r is applied as a stencil, then
+    u_next = 2 u - u_prev + dt^2 rhs.  Its snapshots agree with the
+    solver's to rounding, not bit for bit.  Fresh arrays every step and
+    the descriptor ghost from `ExteriorDescriptor.eval` at every step.
+    Returns stored times, u and u_t rows, and blown_up.
     """
     r = config.radial_grid()
     D, desc = initial.lifted_dim, initial.descriptor

@@ -6,8 +6,9 @@ import pytest
 from wavechannel import exact_evolution as ev
 from wavechannel import exterior_basis as eb
 from wavechannel import radial_solver as rs
+from wavechannel import radiation3 as rad
 
-from oracles import reference_leapfrog
+from oracles import centred_leapfrog, folded_leapfrog
 
 
 def one_over_r_mode(R=1.0):
@@ -180,27 +181,123 @@ class TestBoundaryIndependence:
         assert diff == 0.0
 
 
+DESCRIPTOR_CASES = [(3, 0, [1.0], []), (5, 0, [0.8], [-1.2]), (3, 1, [1.0], [0.7])]
+
+
+def descriptor_run(d, nu, A, B):
+    data = eb.build_exterior_mode(eb.ModeSpec(d, nu), 1.0, A=A, B=B)
+    cfg = rs.SolverConfig(r_max=8.0, n_r=201, t_final=4.0, store_every=7)
+    return rs.lifted_field_from_mode(data, cfg), cfg
+
+
+def extrapolated_run():
+    cfg = rs.SolverConfig(r_max=16.0, n_r=201, t_final=12.0, store_every=5)
+    return compact_bump(cfg, amplitude=0.5, support=4.0, lifted_dim=5), cfg
+
+
+def radiating_run():
+    """Radiating d = 3 data from a band-limited radiation profile."""
+    s = np.linspace(-12.0, 12.0, 4801)
+    g = (np.cos(0.5 * s) - 0.7 * np.sin(1.5 * s) + 0.4 * np.cos(2.5 * s)) * np.exp(-((s / 3.0) ** 2))
+    profile = rad.RadiationProfile(s=s, g=g)
+    data = rad.inverse_map(profile)
+    cfg = rs.SolverConfig(r_max=40.0, n_r=1601, t_final=8.0, store_every=100)
+    r = cfg.radial_grid()
+    u0 = np.interp(r, data.r, data.u0, left=0.0, right=0.0)
+    u0[0] = 2.0 * np.interp(0.0, s, g)
+    u1 = np.interp(r, data.r, data.u1, left=0.0, right=0.0)
+    u1[0] = 0.0
+    return rs.RadialGridField(r=r, u=u0, ut=u1, lifted_dim=3), cfg
+
+
 class TestReferenceStepper:
     """The solver's snapshots equal a plain leapfrog that calls eval every step."""
 
     @staticmethod
     def assert_same_run(fld, cfg):
         traj = rs.solve_mode_linear(fld, cfg)
-        times, u, ut, blown_up = reference_leapfrog(fld, cfg)
+        times, u, ut, blown_up = folded_leapfrog(fld, cfg)
         assert traj.blown_up == blown_up is False
         assert np.array_equal(traj.times, times)
         assert np.array_equal(np.array([f.u for f in traj.fields]), u)
         assert np.array_equal(np.array([f.ut for f in traj.fields]), ut)
 
-    @pytest.mark.parametrize("d,nu,A,B", [(3, 0, [1.0], []), (5, 0, [0.8], [-1.2]), (3, 1, [1.0], [0.7])])
+    @pytest.mark.parametrize("d,nu,A,B", DESCRIPTOR_CASES)
     def test_descriptor_ghost_bit_for_bit(self, d, nu, A, B):
-        data = eb.build_exterior_mode(eb.ModeSpec(d, nu), 1.0, A=A, B=B)
-        cfg = rs.SolverConfig(r_max=8.0, n_r=201, t_final=4.0, store_every=7)
-        self.assert_same_run(rs.lifted_field_from_mode(data, cfg), cfg)
+        self.assert_same_run(*descriptor_run(d, nu, A, B))
 
     def test_extrapolated_ghost_bit_for_bit(self):
-        cfg = rs.SolverConfig(r_max=16.0, n_r=201, t_final=12.0, store_every=5)
-        self.assert_same_run(compact_bump(cfg, amplitude=0.5, support=4.0, lifted_dim=5), cfg)
+        self.assert_same_run(*extrapolated_run())
+
+
+class TestCentredStencil:
+    """The folded step rounds in another order than the centred stencil; snapshots agree to 1e-9."""
+
+    @staticmethod
+    def assert_close_run(fld, cfg):
+        traj = rs.solve_mode_linear(fld, cfg)
+        times, u, ut, blown_up = centred_leapfrog(fld, cfg)
+        assert traj.blown_up == blown_up is False
+        assert np.array_equal(traj.times, times)
+        for got, ref in ((np.array([f.u for f in traj.fields]), u), (np.array([f.ut for f in traj.fields]), ut)):
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d,nu,A,B", DESCRIPTOR_CASES)
+    def test_descriptor_ghost(self, d, nu, A, B):
+        self.assert_close_run(*descriptor_run(d, nu, A, B))
+
+    def test_extrapolated_ghost(self):
+        self.assert_close_run(*extrapolated_run())
+
+    def test_radiating_profile(self):
+        self.assert_close_run(*radiating_run())
+
+
+class TestStepperInternals:
+    def test_grid_off_the_origin_refused(self):
+        cfg = rs.SolverConfig(r_max=10.0, n_r=201, t_final=1.0, r_min=0.05)
+        r = cfg.radial_grid()
+        fld = rs.RadialGridField(r=r, u=np.exp(-(r**2)), ut=np.zeros_like(r), lifted_dim=3)
+        with pytest.raises(ValueError, match="r_min"):
+            rs.solve_mode_linear(fld, cfg)
+
+    @pytest.mark.parametrize("threshold", [1e8, 1.0, 3e-150, 1e150, 1e200])
+    def test_health_filter_flags_every_value_past_the_threshold(self, threshold):
+        healthy = rs._health_test(threshold)
+        for u in (np.zeros(64), np.full(64, 0.1 * threshold)):
+            assert healthy(u)
+            for bad in (np.nextafter(threshold, np.inf), -np.nextafter(threshold, np.inf), np.nan, np.inf, -np.inf):
+                v = u.copy()
+                v[17] = bad
+                assert not healthy(v), bad
+        # sum(u^2) past threshold^2 but every node within it: the exact test decides
+        v = np.full(64, threshold)
+        assert healthy(v)
+
+    def test_health_filter_without_threshold(self):
+        healthy = rs._health_test(math.inf)
+        assert healthy(np.array([0.0, 1e200, -1e300]))
+        assert not healthy(np.array([0.0, np.inf]))
+        assert not healthy(np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, 1e-170])
+    def test_health_filter_below_the_normal_range_is_exact(self, threshold):
+        healthy = rs._health_test(threshold)
+        assert healthy(np.zeros(8)) is (threshold >= 0)
+        assert not healthy(np.full(8, 2e-170))
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            np.linspace(-1.3, 1.3, 1001),
+            np.geomspace(1e-80, 1e-50, 1001),  # powers from normal values through subnormals to 0
+            -np.geomspace(1e-80, 1e-50, 1001),
+        ],
+    )
+    def test_powers_by_multiplication_match_pow(self, u):
+        smallest = np.nextafter(0.0, 1.0)
+        for got, ref in ((rs._fifth_power(u, np.empty_like(u)), u**5), (rs._sixth_power(u), u**6)):
+            assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * np.abs(ref) + 4 * smallest)
 
 
 class TestQuintic:
@@ -344,14 +441,14 @@ class TestCriticalNormTails:
     def test_l6_frozen_closed_form(self):
         traj = frozen_one_over_r_trajectory()
         r = 2.0
-        val = rs.l6_tail(traj, r)
+        (val,) = rs.l6_tail(traj, [r])
         assert val == pytest.approx(4 * math.pi / (3 * r**3), rel=1e-2)
 
     def test_zero_trajectory(self):
         cfg = rs.SolverConfig(r_max=10.0, n_r=201, t_final=1.0)
         fld = compact_bump(cfg, amplitude=0.0)
         traj = rs.solve_mode_linear(fld, cfg)
-        assert rs.l6_tail(traj, 1.0) == 0.0
+        assert rs.l6_tail(traj, [1.0]).tolist() == [0.0]
 
     def test_requires_physical_dimension(self):
         traj = frozen_one_over_r_trajectory(r_max=50.0, n_r=501, t_half=2.0, n_t=9)
@@ -365,7 +462,7 @@ class TestCriticalNormTails:
             config=traj.config,
         )
         with pytest.raises(ValueError):
-            rs.l6_tail(lifted, 1.0)
+            rs.l6_tail(lifted, [1.0])
 
     def test_l6_tail_decreasing_in_radius(self):
         cfg = rs.SolverConfig(
@@ -378,9 +475,13 @@ class TestCriticalNormTails:
         fld = compact_bump(cfg, amplitude=0.8, support=3.0)
         traj = rs.solve_quintic(fld, cfg)
         radii = [1.0, 2.0, 4.0, 8.0, 16.0]
-        tails = [rs.l6_tail(traj, r) for r in radii]
+        tails = rs.l6_tail(traj, radii)
         for a, b in zip(tails, tails[1:]):
             assert b <= a + 1e-18
+        # one pass over the snapshots gives each radius its own call's value
+        assert tails.tolist() == [rs.l6_tail(traj, [r])[0] for r in radii]
+        with pytest.raises(ValueError):
+            rs.l6_tail(traj, [1.0, 0.0])
 
 
 class TestSphereBridge:
