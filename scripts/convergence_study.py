@@ -38,14 +38,13 @@ def dalembert_exact(r: np.ndarray, t: float) -> np.ndarray:
 
 def dalembert_error(n_r: int, cfg: StudyConfig) -> float:
     config = rs.SolverConfig(r_max=20.0, n_r=n_r, t_final=cfg.t_final, store_every=10**9)
-    fld = rs.field_from_callables(
-        config, lambda r: np.exp(-(r**2)), lambda r: np.zeros_like(r), lifted_dim=3
-    )
+    r = config.radial_grid()
+    fld = rs.RadialGridField(r=r, u=np.exp(-(r**2)), ut=np.zeros_like(r), lifted_dim=3)
     traj = rs.solve_mode_linear(fld, config)
     t_end = float(traj.times[-1])
     mask = traj.r < 10.0
     return float(
-        np.max(np.abs(traj.fields[-1].u[mask] - dalembert_exact(traj.r[mask], t_end)))
+        np.max(np.abs(traj.u[-1][mask] - dalembert_exact(traj.r[mask], t_end)))
     )
 
 
@@ -58,7 +57,7 @@ def chain_error(n_r: int, cfg: StudyConfig) -> float:
     # stay outside anything the interior blend can influence numerically
     mask = traj.r > 1.0 + t_end / config.cfl + 3 * config.dr
     exact = traj.descriptor.eval(traj.r[mask], t_end)
-    return float(np.max(np.abs(traj.fields[-1].u[mask] - exact.u)))
+    return float(np.max(np.abs(traj.u[-1][mask] - exact.u)))
 
 
 def table(name, errors, resolutions) -> None:

@@ -373,8 +373,8 @@ def _run_evolve(cfg: dict, base: Path) -> dict:
     traj = rs.solve_mode_linear(fld, config)
     rows = [
         (float(t), float(ri), float(ui), float(uti))
-        for t, f in zip(traj.times, traj.fields)
-        for ri, ui, uti in zip(f.r, f.u, f.ut)
+        for t, u, ut in zip(traj.times, traj.u, traj.ut)
+        for ri, ui, uti in zip(traj.r, u, ut)
     ]
     _write_csv(csv_path, ("t", "r", "u", "ut"), rows)
     report = {
@@ -390,12 +390,25 @@ def _run_evolve(cfg: dict, base: Path) -> dict:
     return report
 
 
+def _refuse_blow_up(traj: rs.Trajectory, csv_path: Path, header: Sequence[str]) -> None:
+    """Exit 2 on a run that blew up, leaving an empty table rather than a stale one."""
+    if traj.blown_up:
+        _write_csv(csv_path, header, [])
+        raise NumericalFailure(
+            {
+                "reason": f"the run blew up after t={float(traj.times[-1]):g}",
+                "last_stored_time": float(traj.times[-1]),
+            }
+        )
+
+
 def _run_energy(cfg: dict, base: Path) -> dict:
     config = _solver_config(cfg)
     fld = _field_from_cfg(cfg, config)
     traj = rs.solve_mode_linear(fld, config)
-    series = _numerical_guard(lambda: rs.cone_energy(traj, cfg["cone_radius"]))
     csv_path = _with_ext(base, ".csv")
+    _refuse_blow_up(traj, csv_path, ("t", "E_ext"))
+    series = _numerical_guard(lambda: rs.cone_energy(traj, cfg["cone_radius"]))
     _write_csv(csv_path, ("t", "E_ext"), zip(series.times, series.values))
     return {
         "cone_radius": cfg["cone_radius"],
@@ -444,14 +457,7 @@ def _run_nlw(cfg: dict, base: Path) -> dict:
         raise UsageError("nonlinear runs take physical d = 3 radial data")
     traj = rs.solve_quintic(fld, config)
     csv_path = _with_ext(base, ".csv")
-    if traj.blown_up:
-        _write_csv(csv_path, ("t", "E_total"), [])
-        raise NumericalFailure(
-            {
-                "reason": f"the run blew up after t={float(traj.times[-1]):g}",
-                "last_stored_time": float(traj.times[-1]),
-            }
-        )
+    _refuse_blow_up(traj, csv_path, ("t", "E_total"))
     series = rs.energy_series(traj)
     _write_csv(csv_path, ("t", "E_total"), zip(traj.times, series))
     drift = float((np.max(series) - np.min(series)) / series[0]) if series[0] > 0 else 0.0

@@ -331,7 +331,7 @@ def nonlinear_decay_pipeline(
         else 0.0
     )
     b_values = np.array(
-        [_moving_tail_integral(data, float(p), integrand) + beyond for p in probes]
+        [_moving_tail_integral(r, float(p), integrand) + beyond for p in probes]
     )
     b_fit = _fit_or_floor(probes, b_values, floor_tol * max(grad_mass, 1e-300))
     dr_u0_report = DecayReport(
@@ -347,7 +347,6 @@ def nonlinear_decay_pipeline(
         r_max=float(r[-1]),
         n_r=int(r.size),
         t_final=t_final,
-        r_min=float(r[0]),
         nonlinearity=nonlinearity,
     )
     config = replace(config, store_every=max(1, config.raw_steps // max(1, snapshots)))

@@ -8,13 +8,16 @@ Two equations are covered on a uniform radial grid:
 The scheme is leapfrog in time with centered second-order space, folded
 into three diagonals built once per run: the centred interior rows, the
 even-parity origin row (the operator's limit D * u_rr at r = 0) and the
-ghost row, so a step is a few array passes.  Grids start at r = 0; a
-positive r_min is refused.  The outer edge is closed either by exact
-ghost values from an ExteriorDescriptor (basis data evolves in closed
-form, so the boundary is not an approximation at all) or by quadratic
-extrapolation, in which case the numerical domain of dependence shrinks
-by exactly one cell per step and every diagnostic accounts for that
-contaminated band.
+ghost row, so a step is a few array passes.  Grids start at r = 0.  The
+outer edge is closed either by exact ghost values from an
+ExteriorDescriptor (basis data evolves in closed form, so the boundary
+is not an approximation at all) or by quadratic extrapolation, in which
+case the numerical domain of dependence shrinks by exactly one cell per
+step and every diagnostic accounts for that contaminated band.
+
+Initial data is a RadialGridField.  A run writes its stored steps into
+one (n_snap, n_r) stack each of u and u_t, held by a Trajectory, and the
+diagnostics read the whole stack.
 
 Cone-energy diagnostics follow the lifted single-mode convention
 int (u_t^2 + u_r^2) r^(D-1) dr without a sphere-area factor; the
@@ -46,12 +49,11 @@ class NumericalError(ValueError):
 class SolverConfig:
     """Grid, stepping, and equation selection for one run.
 
-    The stepper needs r_min = 0, since its origin row is the parity
-    closure, and refuses any other grid; a positive r_min still describes
-    stored trajectories for the diagnostics.  The parity closure tightens
-    the usable Courant number to about sqrt(2/D) in lifted dimension D;
-    the default cfl 0.45 is inside that limit for every D <= 9, and
-    _solve rejects anything beyond it.
+    The grid is n_r uniform nodes on [0, r_max]; the stepper's origin
+    row is the parity closure.  That closure tightens the usable Courant
+    number to about sqrt(2/D) in lifted dimension D; the default cfl
+    0.45 is inside that limit for every D <= 9, and _solve rejects
+    anything beyond it.
     That limit does not make runs stable for D >= 6: next to the origin
     the centred ((D-1)/r) u_r stencil has complex eigenvalues there, and
     runs blow up after a few time units at any cfl (ROADMAP item 1).
@@ -60,15 +62,14 @@ class SolverConfig:
     r_max: float
     n_r: int
     t_final: float
-    r_min: float = 0.0
     cfl: float = 0.45
     nonlinearity: str = "none"
     store_every: int = 1
     blowup_threshold: float = 1e8
 
     def __post_init__(self) -> None:
-        if not self.r_max > self.r_min >= 0:
-            raise ValueError("need r_max > r_min >= 0")
+        if not self.r_max > 0:
+            raise ValueError("need r_max > 0")
         if self.n_r < 8:
             raise ValueError("grid too small to carry the stencil")
         if not 0 < self.cfl < 1:
@@ -84,7 +85,7 @@ class SolverConfig:
 
     @property
     def dr(self) -> float:
-        return (self.r_max - self.r_min) / (self.n_r - 1)
+        return self.r_max / (self.n_r - 1)
 
     @property
     def dt(self) -> float:
@@ -106,7 +107,7 @@ class SolverConfig:
         return self.stride * math.ceil(self.raw_steps / self.stride)
 
     def radial_grid(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.n_r)
+        return np.linspace(0.0, self.r_max, self.n_r)
 
 
 def uniform_step(r: np.ndarray) -> float:
@@ -125,7 +126,7 @@ def uniform_step(r: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RadialGridField:
-    """One time slice (u, u_t) of a radial profile in lifted dimension D."""
+    """Initial data (u, u_t) of a radial profile in lifted dimension D."""
 
     r: np.ndarray
     u: np.ndarray
@@ -155,42 +156,41 @@ class RadialGridField:
     def dr(self) -> float:
         return float(self.r[1] - self.r[0])
 
-    def ur(self) -> np.ndarray:
-        """Second-order radial derivative on the grid."""
-        return np.gradient(self.u, self.dr, edge_order=2)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Stored snapshots of one evolution, at uniform stored cadence."""
+    """Stored snapshots of one evolution, at uniform stored cadence.
 
+    Row k of the (n_snap, n_r) stacks u and ut is the field at times[k]
+    on the grid r.
+    """
+
+    r: np.ndarray
     times: np.ndarray
-    fields: tuple[RadialGridField, ...]
-    spec: ModeSpec
+    u: np.ndarray
+    ut: np.ndarray
+    lifted_dim: int
+    descriptor: Optional[ExteriorDescriptor]
     config: SolverConfig
     blown_up: bool = False
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
-        if times.ndim != 1 or times.size != len(self.fields):
-            raise ValueError("one stored field per stored time required")
+        if not (times.ndim == 1 and self.u.shape == self.ut.shape == (times.size, self.r.size)):
+            raise ValueError("u and ut need one row per stored time and one column per node")
         if times.size >= 2:
             steps = np.diff(times)
             if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15) or steps[0] <= 0:
                 raise ValueError("stored times must be uniform and increasing")
 
     @property
-    def descriptor(self) -> Optional[ExteriorDescriptor]:
-        return self.fields[0].descriptor
-
-    @property
     def dr(self) -> float:
-        return self.fields[0].dr
+        return float(self.r[1] - self.r[0])
 
-    @property
-    def r(self) -> np.ndarray:
-        return self.fields[0].r
+    def ur(self) -> np.ndarray:
+        """Second-order radial derivative of every snapshot."""
+        return np.gradient(self.u, self.dr, axis=1, edge_order=2)
 
     def clean_radius(self, t: float) -> float:
         """Largest radius exactly independent of the outer-edge closure.
@@ -205,23 +205,6 @@ class Trajectory:
 
 # ---------------------------------------------------------------------------
 # initial data builders
-
-
-def field_from_callables(
-    config: SolverConfig,
-    u0: Callable[[np.ndarray], np.ndarray],
-    u1: Callable[[np.ndarray], np.ndarray],
-    lifted_dim: int,
-    descriptor: Optional[ExteriorDescriptor] = None,
-) -> RadialGridField:
-    r = config.radial_grid()
-    return RadialGridField(
-        r=r,
-        u=np.asarray(u0(r), dtype=float),
-        ut=np.asarray(u1(r), dtype=float),
-        lifted_dim=lifted_dim,
-        descriptor=descriptor,
-    )
 
 
 def lifted_field_from_mode(data: ExteriorModeData, config: SolverConfig) -> RadialGridField:
@@ -331,11 +314,7 @@ def _health_test(threshold: float) -> Callable[[np.ndarray], bool]:
     return healthy
 
 
-def _solve(initial: RadialGridField, config: SolverConfig, spec: ModeSpec) -> Trajectory:
-    if config.r_min != 0.0:
-        raise ValueError(
-            f"the stepper closes its grid at r = 0 by parity; got r_min={config.r_min}"
-        )
+def _solve(initial: RadialGridField, config: SolverConfig) -> Trajectory:
     r = config.radial_grid()
     if initial.r.shape != r.shape or not np.allclose(initial.r, r, rtol=1e-12):
         raise ValueError("initial data grid does not match the solver configuration")
@@ -368,8 +347,10 @@ def _solve(initial: RadialGridField, config: SolverConfig, spec: ModeSpec) -> Tr
         return out
 
     healthy = _health_test(config.blowup_threshold)
-    stored_t: list[float] = [0.0]
-    stored: list[RadialGridField] = [initial]
+    u_rows = np.empty((n_steps // stride + 1, r.size))
+    ut_rows = np.empty_like(u_rows)
+    u_rows[0], ut_rows[0] = initial.u, initial.ut
+    k = 1  # rows written
 
     # u_1 = u_0 + dt u_t + (dt^2 / 2)(u_rr + ((D-1)/r) u_r + F)(u_0)
     u_prev = initial.u.copy()
@@ -386,18 +367,19 @@ def _solve(initial: RadialGridField, config: SolverConfig, spec: ModeSpec) -> Tr
             blown_up = True
             break
         if n % stride == 0:
-            ut = (u_next - u_prev) / (2 * dt)
-            stored_t.append(n * dt)
-            stored.append(
-                RadialGridField(r=r, u=u_curr.copy(), ut=ut, lifted_dim=D, descriptor=desc)
-            )
+            u_rows[k] = u_curr
+            np.divide(np.subtract(u_next, u_prev, out=ut_rows[k]), 2 * dt, out=ut_rows[k])
+            k += 1
         u_prev, u_curr, u_next = u_curr, u_next, u_prev
         n += 1
 
     return Trajectory(
-        times=np.asarray(stored_t),
-        fields=tuple(stored),
-        spec=spec,
+        r=r,
+        times=np.arange(k) * stride * dt,
+        u=u_rows[:k],
+        ut=ut_rows[:k],
+        lifted_dim=D,
+        descriptor=desc,
         config=config,
         blown_up=blown_up,
     )
@@ -407,8 +389,7 @@ def solve_mode_linear(initial: RadialGridField, config: SolverConfig) -> Traject
     """Evolve the lifted linear equation u_tt = u_rr + ((D-1)/r) u_r."""
     if config.nonlinearity != "none":
         raise ValueError("linear solves take nonlinearity='none'")
-    d, nu = _spec_guess(initial.lifted_dim)
-    return _solve(initial, config, ModeSpec(d, nu))
+    return _solve(initial, config)
 
 
 def solve_quintic(initial: RadialGridField, config: SolverConfig) -> Trajectory:
@@ -417,23 +398,15 @@ def solve_quintic(initial: RadialGridField, config: SolverConfig) -> Trajectory:
         raise ValueError("the quintic solver is for physical d = 3 radial fields")
     if config.nonlinearity == "none":
         raise ValueError("quintic solves need a nonlinearity; use solve_mode_linear")
-    return _solve(initial, config, ModeSpec(3, 0))
-
-
-def _spec_guess(D: int) -> tuple[int, int]:
-    # any (d, nu) with d + 2 nu = D represents the same lifted equation;
-    # report the radial one of matching parity
-    if D >= 3:
-        return (3, (D - 3) // 2) if D % 2 == 1 else (4, (D - 4) // 2)
-    return (2, 0)
+    return _solve(initial, config)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 
 
-def total_energy(fld: RadialGridField, nonlinearity: str = "none") -> float:
-    """int (u_t^2 + u_r^2 + potential) r^(D-1) dr on the grid.
+def energy_series(traj: Trajectory) -> np.ndarray:
+    """int (u_t^2 + u_r^2 + potential) r^(D-1) dr on the grid, at every stored time.
 
     Doubled-energy convention; defocusing potential u^6/3, focusing
     -u^6/3.  This is the conserved functional of the flow when no flux
@@ -443,48 +416,37 @@ def total_energy(fld: RadialGridField, nonlinearity: str = "none") -> float:
         "none": lambda u: 0.0,
         "defocusing_quintic": lambda u: _sixth_power(u) / 3.0,
         "focusing_quintic": lambda u: -_sixth_power(u) / 3.0,
-    }
-    if nonlinearity not in pot:
-        raise ValueError(f"no conserved functional known for {nonlinearity!r}")
-    dens = (fld.ut**2 + fld.ur() ** 2 + pot[nonlinearity](fld.u)) * fld.r ** (
-        fld.lifted_dim - 1
-    )
-    return float(np.trapezoid(dens, dx=fld.dr))
+    }[traj.config.nonlinearity]
+    dens = (traj.ut**2 + traj.ur() ** 2 + pot(traj.u)) * traj.r ** (traj.lifted_dim - 1)
+    return np.trapezoid(dens, dx=traj.dr, axis=1)
 
 
-def energy_series(traj: Trajectory) -> np.ndarray:
-    """Total grid energy at every stored time."""
-    return np.asarray(
-        [total_energy(f, traj.config.nonlinearity) for f in traj.fields]
-    )
+def _check_clean(traj: Trajectory) -> None:
+    """Refuse a run whose outer-edge closure has reached a stored snapshot's interior."""
+    for t, u, ut in zip(traj.times, traj.u, traj.ut):
+        rc = traj.clean_radius(t)
+        if rc >= traj.config.r_max:
+            continue
+        band = traj.r >= rc
+        scale = max(np.max(np.abs(u)), np.max(np.abs(ut)), 1e-300)
+        if np.max(np.abs(u[band])) > 1e-11 * scale or np.max(np.abs(ut[band])) > 1e-11 * scale:
+            raise NumericalError(
+                f"outer-edge contamination reaches the diagnostic region at t={t:g}; "
+                "enlarge r_max or supply descriptor ghosts"
+            )
 
 
-def _check_clean(traj: Trajectory, t: float, fld: RadialGridField) -> None:
-    rc = traj.clean_radius(t)
-    if rc >= traj.config.r_max:
-        return
-    band = fld.r >= rc
-    scale = max(np.max(np.abs(fld.u)), np.max(np.abs(fld.ut)), 1e-300)
-    if np.max(np.abs(fld.u[band])) > 1e-11 * scale or np.max(
-        np.abs(fld.ut[band])
-    ) > 1e-11 * scale:
-        raise NumericalError(
-            f"outer-edge contamination reaches the diagnostic region at t={t:g}; "
-            "enlarge r_max or supply descriptor ghosts"
-        )
-
-
-def _moving_tail_integral(fld: RadialGridField, a: float, integrand: np.ndarray) -> float:
-    """Trapezoid of integrand over [a, r_max] with an interpolated endpoint."""
-    r = fld.r
+def _moving_tail_integral(r: np.ndarray, a: float, integrand: np.ndarray) -> float:
+    """Trapezoid of integrand over [a, r[-1]] on the uniform grid r, interpolated at a."""
     if a >= r[-1]:
         return 0.0
+    dr = float(r[1] - r[0])
     if a <= r[0]:
-        return float(np.trapezoid(integrand, dx=fld.dr))
+        return float(np.trapezoid(integrand, dx=dr))
     j = int(np.searchsorted(r, a, side="left"))
-    total = float(np.trapezoid(integrand[j:], dx=fld.dr)) if j < r.size - 1 else 0.0
+    total = float(np.trapezoid(integrand[j:], dx=dr)) if j < r.size - 1 else 0.0
     if j >= 1 and r[j] > a:
-        f_a = integrand[j - 1] + (integrand[j] - integrand[j - 1]) * (a - r[j - 1]) / fld.dr
+        f_a = integrand[j - 1] + (integrand[j] - integrand[j - 1]) * (a - r[j - 1]) / dr
         total += 0.5 * (f_a + integrand[j]) * (r[j] - a)
     return total
 
@@ -509,13 +471,12 @@ def cone_energy(traj: Trajectory, R: float) -> ConeEnergySeries:
     """
     if R <= 0:
         raise ValueError("cone radius must be positive")
-    D = traj.fields[0].lifted_dim
+    _check_clean(traj)
     desc = traj.descriptor
+    integrand = (traj.ut**2 + traj.ur() ** 2) * traj.r ** (traj.lifted_dim - 1)
     vals = []
-    for t, fld in zip(traj.times, traj.fields):
-        _check_clean(traj, t, fld)
-        integrand = (fld.ut**2 + fld.ur() ** 2) * fld.r ** (D - 1)
-        e = _moving_tail_integral(fld, R + abs(t), integrand)
+    for t, row in zip(traj.times, integrand):
+        e = _moving_tail_integral(traj.r, R + abs(t), row)
         if desc is not None:
             e += desc.exterior_energy(max(traj.config.r_max, R + abs(t)), t)
         vals.append(e)
@@ -526,25 +487,22 @@ def cone_energy(traj: Trajectory, R: float) -> ConeEnergySeries:
     )
 
 
-def _require_physical_3d(traj: Trajectory) -> None:
-    if traj.fields[0].lifted_dim != 3:
-        raise ValueError("physical-space diagnostics require d = 3 radial runs")
-
-
 def l6_tail(traj: Trajectory, radii: Sequence[float]) -> np.ndarray:
     """max over stored times of int_{|x|>r+|t|} u^6 dx (physical d = 3), for each r in radii.
 
     One pass over the snapshots serves every radius; each value equals a
     call with that radius alone.
     """
-    _require_physical_3d(traj)
+    if traj.lifted_dim != 3:
+        raise ValueError("physical-space diagnostics require d = 3 radial runs")
     radii = [float(r) for r in radii]
     if not all(r > 0 for r in radii):
         raise ValueError("tail radii must be positive")
+    _check_clean(traj)
+    r2 = traj.r**2
     worst = np.zeros(len(radii))
-    for t, fld in zip(traj.times, traj.fields):
-        _check_clean(traj, t, fld)
-        integrand = 4.0 * math.pi * _sixth_power(fld.u) * fld.r**2
+    for t, u in zip(traj.times, traj.u):
+        integrand = 4.0 * math.pi * _sixth_power(u) * r2
         for i, r in enumerate(radii):
-            worst[i] = max(worst[i], _moving_tail_integral(fld, r + abs(t), integrand))
+            worst[i] = max(worst[i], _moving_tail_integral(traj.r, r + abs(t), integrand))
     return worst

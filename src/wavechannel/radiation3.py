@@ -32,6 +32,10 @@ from .radial_solver import (
 
 ArrayLike = Union[float, np.ndarray]
 
+# snapshots T, T/2, T/4, T/8 that channel_identity_check extrapolates in 1/t
+_RICHARDSON_NODES = 4
+
+
 def _gradient4(f: np.ndarray, dx: float) -> np.ndarray:
     """First derivative on a uniform grid, fourth order inside.
 
@@ -320,7 +324,6 @@ def channel_identity_check(
     config: SolverConfig,
     R: float,
     du0: Optional[np.ndarray] = None,
-    n_nodes: int = 4,
     reversed_descriptor: Optional[ExteriorDescriptor] = None,
 ) -> ChannelBalance:
     """Test 4 pi (E_+ + E_-) = 2 tail_S(R)^2 on a computed evolution.
@@ -337,7 +340,7 @@ def channel_identity_check(
         raise ValueError("the channel identity is a d = 3 statement")
     if R <= 0:
         raise ValueError("cone radius must be positive")
-    t_nodes = [config.t_final / 2**j for j in range(n_nodes)]
+    t_nodes = [config.t_final / 2**j for j in range(_RICHARDSON_NODES)]
 
     def limit_for(sign: float) -> float:
         data = RadialGridField(

@@ -154,14 +154,13 @@ class TestCriterion06Convergence:
 
     def dalembert_error(self, n_r):
         cfg = rs.SolverConfig(r_max=20.0, n_r=n_r, t_final=3.0, store_every=10**9)
-        fld = rs.field_from_callables(
-            cfg, lambda r: np.exp(-(r**2)), lambda r: np.zeros_like(r), lifted_dim=3
-        )
+        r = cfg.radial_grid()
+        fld = rs.RadialGridField(r=r, u=np.exp(-(r**2)), ut=np.zeros_like(r), lifted_dim=3)
         traj = rs.solve_mode_linear(fld, cfg)
         t_end = float(traj.times[-1])
         mask = traj.r < 10.0
         return np.max(
-            np.abs(traj.fields[-1].u[mask] - self.dalembert(traj.r[mask], t_end))
+            np.abs(traj.u[-1][mask] - self.dalembert(traj.r[mask], t_end))
         )
 
     def chain_error(self, n_r):
@@ -172,7 +171,7 @@ class TestCriterion06Convergence:
         t_end = float(traj.times[-1])
         mask = traj.r > 1.0 + t_end / cfg.cfl + 3 * cfg.dr
         exact = traj.descriptor.eval(traj.r[mask], t_end)
-        return np.max(np.abs(traj.fields[-1].u[mask] - exact.u))
+        return np.max(np.abs(traj.u[-1][mask] - exact.u))
 
     def test_refinement_ratios_and_drift(self):
         r1 = self.dalembert_error(401) / self.dalembert_error(801)

@@ -269,6 +269,20 @@ class TestEnergy:
         t, e = table[:, 0], table[:, 1]
         assert np.allclose(e, 1.0 / (2.0 + t), rtol=1e-3)
 
+    def test_blown_up_run_exits_2(self, outdir, capsys):
+        # lifted D = 7 blows up near t = 2.7 on this grid (ROADMAP item 1);
+        # a series cut short there must not pass for one that reached t = 4
+        rc = run(
+            "energy --d 7 --A 0 1 --B 0 --r-max 16 --n-r 1601 --t-final 4".split()
+        )
+        assert rc == 2
+        assert "blew up" in capsys.readouterr().err
+        doc = read_json(outdir, "energy.json")
+        assert "report" not in doc
+        assert doc["failure"]["reason"].startswith("the run blew up after t=")
+        assert doc["failure"]["last_stored_time"] < 4.0
+        assert (outdir / "energy.csv").read_text() == "t,E_ext\n"
+
 
 class TestRadiation:
     def test_gaussian_profile(self, outdir):
@@ -371,7 +385,10 @@ class TestNumericalErrors:
         # stops at once: the blow-up is named, not a snapshot lookup.
         def identity_on_stopped_run(traj, R):
             cfg = dataclasses.replace(traj.config, blowup_threshold=1e-3)
-            return rad.channel_identity_check(traj.fields[0], cfg, R)
+            data = rs.RadialGridField(
+                r=traj.r, u=traj.u[0], ut=traj.ut[0], lifted_dim=3, descriptor=traj.descriptor
+            )
+            return rad.channel_identity_check(data, cfg, R)
 
         monkeypatch.setattr(rs, "cone_energy", identity_on_stopped_run)
         assert run("energy --d 3 --A 1.0 --cone-radius 2".split()) == 2

@@ -27,7 +27,7 @@ def compact_bump(config, amplitude=0.5, support=4.0, lifted_dim=3):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            rs.SolverConfig(r_max=1.0, n_r=100, t_final=1.0, r_min=2.0)
+            rs.SolverConfig(r_max=0.0, n_r=100, t_final=1.0)
         with pytest.raises(ValueError):
             rs.SolverConfig(r_max=10.0, n_r=4, t_final=1.0)
         with pytest.raises(ValueError):
@@ -74,10 +74,24 @@ class TestField:
             rs.RadialGridField(r=bent, u=np.zeros(n_r), ut=np.zeros(n_r), lifted_dim=3)
 
     def test_radial_derivative_second_order(self):
-        r = np.linspace(0, 2, 201)
-        fld = rs.RadialGridField(r=r, u=np.sin(r), ut=np.zeros_like(r), lifted_dim=3)
-        err = np.max(np.abs(fld.ur() - np.cos(r)))
-        assert err < 5e-5
+        # the derivative of a whole snapshot stack, row by row the 1-d call
+        cfg = rs.SolverConfig(r_max=2.0, n_r=201, t_final=1.0)
+        r = cfg.radial_grid()
+        phases = np.linspace(0.0, 1.0, 5)[:, None]
+        u = np.sin(r + phases)
+        traj = rs.Trajectory(
+            r=r, times=phases[:, 0], u=u, ut=np.zeros_like(u), lifted_dim=3,
+            descriptor=None, config=cfg,
+        )
+        ur = traj.ur()
+        assert np.max(np.abs(ur - np.cos(r + phases))) < 5e-5
+        for got, row in zip(ur, u):
+            assert np.array_equal(got, np.gradient(row, traj.dr, edge_order=2))
+        with pytest.raises(ValueError, match="one row per stored time"):
+            rs.Trajectory(
+                r=r, times=phases[:, 0], u=u[:-1], ut=np.zeros_like(u), lifted_dim=3,
+                descriptor=None, config=cfg,
+            )
 
 
 class TestStaticExterior:
@@ -95,9 +109,9 @@ class TestStaticExterior:
         r_safe = 1.0 + t_end / cfg.cfl + 3 * cfg.dr
         mask = traj.r > r_safe
         assert np.sum(mask) > 50
-        drift = np.max(np.abs(traj.fields[-1].u[mask] - 1.0 / traj.r[mask]))
+        drift = np.max(np.abs(traj.u[-1][mask] - 1.0 / traj.r[mask]))
         assert drift <= 1e-8
-        assert np.max(np.abs(traj.fields[-1].ut[mask])) <= 1e-8
+        assert np.max(np.abs(traj.ut[-1][mask])) <= 1e-8
 
     def test_cone_energy_tracks_exact(self):
         cfg, traj = self.make_run()
@@ -125,14 +139,13 @@ class TestDAlembertConvergence:
 
     def run_error(self, n_r):
         cfg = rs.SolverConfig(r_max=20.0, n_r=n_r, t_final=3.0, store_every=10**9)
-        fld = rs.field_from_callables(
-            cfg, lambda r: np.exp(-(r**2)), lambda r: np.zeros_like(r), lifted_dim=3
-        )
+        r = cfg.radial_grid()
+        fld = rs.RadialGridField(r=r, u=np.exp(-(r**2)), ut=np.zeros_like(r), lifted_dim=3)
         traj = rs.solve_mode_linear(fld, cfg)
         t_end = float(traj.times[-1])
         mask = traj.r < 10.0
         return np.max(
-            np.abs(traj.fields[-1].u[mask] - self.exact(traj.r[mask], t_end))
+            np.abs(traj.u[-1][mask] - self.exact(traj.r[mask], t_end))
         )
 
     def test_second_order_convergence(self):
@@ -153,7 +166,7 @@ class TestChainAgreement:
         r_safe = 1.0 + t_end / cfg.cfl + 3 * cfg.dr
         mask = traj.r > r_safe
         exact = traj.descriptor.eval(traj.r[mask], t_end)
-        return np.max(np.abs(traj.fields[-1].u[mask] - exact.u))
+        return np.max(np.abs(traj.u[-1][mask] - exact.u))
 
     def test_matches_exact_chain_at_second_order(self):
         e_coarse = self.run_error(701)
@@ -177,7 +190,7 @@ class TestBoundaryIndependence:
         t_end = float(traj_a.times[-1])
         rc = traj_a.clean_radius(t_end)
         mask = traj_a.r < rc
-        diff = np.max(np.abs(traj_a.fields[-1].u[mask] - traj_b.fields[-1].u[mask]))
+        diff = np.max(np.abs(traj_a.u[-1][mask] - traj_b.u[-1][mask]))
         assert diff == 0.0
 
 
@@ -219,8 +232,8 @@ class TestReferenceStepper:
         times, u, ut, blown_up = folded_leapfrog(fld, cfg)
         assert traj.blown_up == blown_up is False
         assert np.array_equal(traj.times, times)
-        assert np.array_equal(np.array([f.u for f in traj.fields]), u)
-        assert np.array_equal(np.array([f.ut for f in traj.fields]), ut)
+        assert np.array_equal(traj.u, u)
+        assert np.array_equal(traj.ut, ut)
 
     @pytest.mark.parametrize("d,nu,A,B", DESCRIPTOR_CASES)
     def test_descriptor_ghost_bit_for_bit(self, d, nu, A, B):
@@ -239,7 +252,7 @@ class TestCentredStencil:
         times, u, ut, blown_up = centred_leapfrog(fld, cfg)
         assert traj.blown_up == blown_up is False
         assert np.array_equal(traj.times, times)
-        for got, ref in ((np.array([f.u for f in traj.fields]), u), (np.array([f.ut for f in traj.fields]), ut)):
+        for got, ref in ((traj.u, u), (traj.ut, ut)):
             assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("d,nu,A,B", DESCRIPTOR_CASES)
@@ -255,10 +268,11 @@ class TestCentredStencil:
 
 class TestStepperInternals:
     def test_grid_off_the_origin_refused(self):
-        cfg = rs.SolverConfig(r_max=10.0, n_r=201, t_final=1.0, r_min=0.05)
-        r = cfg.radial_grid()
+        # the origin row is the parity closure, so every run's grid starts at r = 0
+        cfg = rs.SolverConfig(r_max=10.0, n_r=201, t_final=1.0)
+        r = np.linspace(0.05, 10.0, 201)
         fld = rs.RadialGridField(r=r, u=np.exp(-(r**2)), ut=np.zeros_like(r), lifted_dim=3)
-        with pytest.raises(ValueError, match="r_min"):
+        with pytest.raises(ValueError, match="does not match"):
             rs.solve_mode_linear(fld, cfg)
 
     @pytest.mark.parametrize("threshold", [1e8, 1.0, 3e-150, 1e150, 1e200])
@@ -308,8 +322,7 @@ class TestQuintic:
         fld = compact_bump(cfg, amplitude=0.0)
         traj = rs.solve_quintic(fld, cfg)
         assert not traj.blown_up
-        for f in traj.fields:
-            assert np.all(f.u == 0.0) and np.all(f.ut == 0.0)
+        assert np.all(traj.u == 0.0) and np.all(traj.ut == 0.0)
 
     def test_defocusing_energy_drift(self):
         cfg = rs.SolverConfig(
@@ -325,6 +338,11 @@ class TestQuintic:
         energies = rs.energy_series(traj)
         drift = np.max(np.abs(energies - energies[0])) / energies[0]
         assert drift <= 1e-3
+        # the quadrature over the whole stack equals the 1-d call on each snapshot
+        for e, u, ut in zip(energies, traj.u, traj.ut):
+            ur = np.gradient(u, traj.dr, edge_order=2)
+            dens = (ut**2 + ur**2 + rs._sixth_power(u) / 3.0) * traj.r**2
+            assert e == np.trapezoid(dens, dx=traj.dr)
 
     def test_linear_energy_drift(self):
         cfg = rs.SolverConfig(r_max=30.0, n_r=2501, t_final=20.0, store_every=50)
@@ -347,9 +365,9 @@ class TestQuintic:
         # scheme leakage that refines away
         numerical = traj.r > 3.0 + t_end / cfg.cfl + 2 * cfg.dr
         assert np.sum(numerical) > 50
-        assert np.all(traj.fields[-1].u[numerical] == 0.0)
+        assert np.all(traj.u[-1][numerical] == 0.0)
         physical = traj.r > 3.0 + t_end + 4 * cfg.dr
-        assert np.max(np.abs(traj.fields[-1].u[physical])) <= 1e-6
+        assert np.max(np.abs(traj.u[-1][physical])) <= 1e-6
 
     def test_focusing_blowup_flagged(self):
         cfg = rs.SolverConfig(
@@ -364,8 +382,7 @@ class TestQuintic:
         traj = rs.solve_quintic(fld, cfg)
         assert traj.blown_up
         assert traj.times[-1] < cfg.t_final
-        for f in traj.fields:
-            assert np.all(np.isfinite(f.u))
+        assert np.all(np.isfinite(traj.u))
 
     def test_overflow_flagged_without_threshold(self):
         # with no threshold only non-finite values can stop the run
@@ -382,8 +399,7 @@ class TestQuintic:
             traj = rs.solve_quintic(fld, cfg)
         assert traj.blown_up
         assert traj.times[-1] < cfg.t_final
-        for f in traj.fields:
-            assert np.all(np.isfinite(f.u)) and np.all(np.isfinite(f.ut))
+        assert np.all(np.isfinite(traj.u)) and np.all(np.isfinite(traj.ut))
 
     def test_quintic_requires_physical_dimension(self):
         cfg = rs.SolverConfig(
@@ -419,21 +435,22 @@ class TestConeEnergy:
             rs.cone_energy(traj, R=0.0)
 
 
-def frozen_one_over_r_trajectory(r_max=300.0, n_r=3001, t_half=16.0, n_t=161):
-    cfg = rs.SolverConfig(r_max=r_max, n_r=n_r, t_final=t_half, r_min=r_max / (n_r - 1))
-    r = cfg.radial_grid()
-    times = np.linspace(-t_half, t_half, n_t)
-    # 1/r is the stationary d=3 monopole mode; its descriptor certifies the
-    # tail as exact so no outer-edge contamination accounting applies
-    desc = ev.descriptor_for_mode(one_over_r_mode())
-    fields = tuple(
-        rs.RadialGridField(
-            r=r, u=1.0 / r, ut=np.zeros_like(r), lifted_dim=3, descriptor=desc
-        )
-        for _ in times
-    )
+def frozen_one_over_r_trajectory(r_max=300.0, n_r=3001, t_half=16.0, n_t=161, lifted_dim=3):
+    # 1/r is the stationary d=3 monopole mode, so every snapshot is the
+    # data; its descriptor certifies the tail as exact so no outer-edge
+    # contamination accounting applies.  The grid starts one step off the
+    # origin, where 1/r is finite.
+    cfg = rs.SolverConfig(r_max=r_max, n_r=n_r, t_final=t_half)
+    r = np.linspace(r_max / (n_r - 1), r_max, n_r)
+    u = np.tile(1.0 / r, (n_t, 1))
     return rs.Trajectory(
-        times=times, fields=fields, spec=eb.ModeSpec(3, 0), config=cfg
+        r=r,
+        times=np.linspace(-t_half, t_half, n_t),
+        u=u,
+        ut=np.zeros_like(u),
+        lifted_dim=lifted_dim,
+        descriptor=ev.descriptor_for_mode(one_over_r_mode()),
+        config=cfg,
     )
 
 
@@ -451,16 +468,7 @@ class TestCriticalNormTails:
         assert rs.l6_tail(traj, [1.0]).tolist() == [0.0]
 
     def test_requires_physical_dimension(self):
-        traj = frozen_one_over_r_trajectory(r_max=50.0, n_r=501, t_half=2.0, n_t=9)
-        lifted = rs.Trajectory(
-            times=traj.times,
-            fields=tuple(
-                rs.RadialGridField(r=f.r, u=f.u, ut=f.ut, lifted_dim=5)
-                for f in traj.fields
-            ),
-            spec=eb.ModeSpec(3, 1),
-            config=traj.config,
-        )
+        lifted = frozen_one_over_r_trajectory(r_max=50.0, n_r=501, t_half=2.0, n_t=9, lifted_dim=5)
         with pytest.raises(ValueError):
             rs.l6_tail(lifted, [1.0])
 
@@ -497,7 +505,7 @@ class TestSphereBridge:
         idx = np.flatnonzero((traj.r > 1.0 + t_end + 0.5) & (traj.r < 11.0))
         idx = idx[:: max(1, idx.size // 10)]
         radii = traj.r[idx]
-        w_num = traj.fields[-1].u[idx]
+        w_num = traj.u[-1][idx]
         exact = np.array(
             [traj.descriptor.eval(float(rr), t_end).u for rr in radii]
         )
@@ -533,8 +541,8 @@ class TestDuhamel:
 
         # cumulative integral K(x) = int_0^x rho F(rho, tau) d rho per snapshot
         Ks = []
-        for f in traj_nl.fields:
-            g = r * -(f.u**5)
+        for u in traj_nl.u:
+            g = r * -(u**5)
             K = np.concatenate([[0.0], np.cumsum((g[1:] + g[:-1]) * 0.5 * dr)])
             Ks.append(K)
 
@@ -556,8 +564,8 @@ class TestDuhamel:
             weight = dtau if 0 < i < len(taus) - 1 else dtau / 2
             duh += weight * contrib
         w_diff = r_eval * (
-            np.interp(r_eval, r, traj_nl.fields[-1].u)
-            - np.interp(r_eval, r, traj_lin.fields[-1].u)
+            np.interp(r_eval, r, traj_nl.u[-1])
+            - np.interp(r_eval, r, traj_lin.u[-1])
         )
         scale = np.max(np.abs(w_diff))
         assert scale > 1e-3  # the nonlinearity actually did something
