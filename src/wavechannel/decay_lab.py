@@ -14,6 +14,7 @@ emitted as a log-log decay report.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
@@ -33,6 +34,8 @@ from .radiation3 import RadiationProfile, _gradient4, forward_map, tail_S
 # r2 >= SEPARATION_FACTOR * r1.  Reported alongside every envelope.
 INNER_FACTOR = 4.0
 SEPARATION_FACTOR = 4.0
+# most candidate cells one block of envelope rows holds at once
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,11 @@ def worst_case_S(
     probe radii r2^(1/l) and r2^(alpha/(alpha + gamma* l)), evaluated
     by log-log interpolation (probes_interpolated reports their use).
 
+    A row's window ends at r2/4, well below the row, so a run of rows
+    whose windows all close below its first row takes its grid minimum
+    from one masked (rows x window) array, with S^l formed once for the
+    run; the probes then follow row by row.
+
     The exponent is fitted over the last decade.  The extremal carries
     a slowly varying amplitude on top of r^(-gamma*), so the finite-
     radius slope sits near gamma* with a correction of order 1/log r,
@@ -163,54 +171,7 @@ def worst_case_S(
     x_max = r_max / R
     if x_max < 160.0:
         raise ValueError("r_max must reach at least 160 R for a fitted decade")
-    n = int(math.floor(math.log(x_max) / math.log(grid_ratio)))
-    x = grid_ratio ** np.arange(n + 1)
-    logx = np.log(x)
-    S = np.empty(n + 1)
-    gstar = params.gamma_star
-    alpha, l = params.alpha, params.l
-    start = INNER_FACTOR * SEPARATION_FACTOR
-    band_top = INNER_FACTOR**l
-    interpolated = False
-
-    def s_interp(p: float, i: int) -> float:
-        # geometric interpolation from the already-built prefix
-        j = int(np.searchsorted(logx[:i], math.log(p)))
-        if j <= 0:
-            return float(S[0])
-        if j >= i:
-            return float(S[i - 1])
-        w = (math.log(p) - logx[j - 1]) / (logx[j] - logx[j - 1])
-        lo = math.log(max(S[j - 1], 1e-300))
-        hi = math.log(max(S[j], 1e-300))
-        return math.exp((1 - w) * lo + w * hi)
-
-    for i in range(n + 1):
-        xi = float(x[i])
-        if xi < start:
-            S[i] = seed_value
-            continue
-        hi = xi / SEPARATION_FACTOR
-        mask = (x[:i] >= INNER_FACTOR) & (x[:i] <= hi)
-        best = math.inf
-        if np.any(mask):
-            cand = 0.5 * (x[:i][mask] / xi) ** alpha + 0.5 * S[:i][mask] ** l
-            best = float(np.min(cand))
-        probes = [
-            INNER_FACTOR,
-            hi,
-            xi ** (1.0 / l),
-            xi ** (alpha / (alpha + gstar * l)),
-        ]
-        for p in probes:
-            if INNER_FACTOR <= p <= hi:
-                interpolated = True
-                sp = s_interp(p, i)
-                best = min(best, 0.5 * (p / xi) ** alpha + 0.5 * sp**l)
-        if xi <= band_top:
-            best = min(best, seed_value)
-        S[i] = best
-
+    x, S, interpolated = _extremal_S(params, x_max, grid_ratio, seed_value)
     decade = x >= x[-1] / 10.0
     good = decade & (S > 0)
     if int(np.sum(good)) < 4:
@@ -223,6 +184,71 @@ def worst_case_S(
         residual=fit.residual,
         probes_interpolated=interpolated,
     )
+
+
+def _extremal_S(
+    params: RecursionParams, x_max: float, grid_ratio: float, seed_value: float
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(x, S, probes_interpolated) of the extremal envelope on grid_ratio^i <= x_max."""
+    n = int(math.floor(math.log(x_max) / math.log(grid_ratio)))
+    x = grid_ratio ** np.arange(n + 1)
+    logx = np.log(x).tolist()
+    gstar = params.gamma_star
+    alpha, l = params.alpha, params.l
+    start = INNER_FACTOR * SEPARATION_FACTOR
+    band_top = INNER_FACTOR**l
+    interpolated = False
+    # admissible grid r1 of row i: indices first <= j < ends[i], all below i
+    first = int(np.searchsorted(x, INNER_FACTOR))
+    ends = np.searchsorted(x, x / SEPARATION_FACTOR, side="right")
+
+    def s_interp(p: float, i: int) -> float:
+        # geometric interpolation from the already-built prefix
+        logp = math.log(p)
+        j = bisect_left(logx, logp, 0, i)
+        if j <= 0:
+            return S[0]
+        if j >= i:
+            return S[i - 1]
+        w = (logp - logx[j - 1]) / (logx[j] - logx[j - 1])
+        return math.exp((1 - w) * logs[j - 1] + w * logs[j])
+
+    # S of the rows built so far, and the logs that s_interp reads
+    seed_value = float(seed_value)
+    i = int(np.searchsorted(x, start))
+    S = [seed_value] * i
+    logs = [math.log(max(seed_value, 1e-300))] * i
+    while i <= n:
+        # rows i..e-1 read S only below row i; the cap bounds the block's size
+        e = int(np.searchsorted(ends, i, side="right"))
+        e = min(e, i + max(1, _BLOCK_CELLS // max(1, int(ends[e - 1]) - first)))
+        top = int(ends[e - 1])
+        best_grid = np.full(e - i, math.inf)
+        if top > first:
+            cand = 0.5 * (x[first:top] / x[i:e, None]) ** alpha + 0.5 * np.array(S[first:top]) ** l
+            cand[np.arange(first, top) >= ends[i:e, None]] = math.inf
+            best_grid = cand.min(axis=1)
+        for row in range(i, e):
+            xi = float(x[row])
+            hi = xi / SEPARATION_FACTOR
+            best = float(best_grid[row - i])
+            probes = [
+                INNER_FACTOR,
+                hi,
+                xi ** (1.0 / l),
+                xi ** (alpha / (alpha + gstar * l)),
+            ]
+            for p in probes:
+                if INNER_FACTOR <= p <= hi:
+                    interpolated = True
+                    sp = s_interp(p, row)
+                    best = min(best, 0.5 * (p / xi) ** alpha + 0.5 * sp**l)
+            if xi <= band_top:
+                best = min(best, seed_value)
+            S.append(best)
+            logs.append(math.log(max(best, 1e-300)))
+        i = e
+    return x, np.array(S), interpolated
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ polynomial-in-t chain
     velocity:  g(r,t) = sum_j c_j t^(2j+1) r^(2k-D-2j),   g(.,0) = 0,        g_t(.,0) = r^(2k-D)
 
 whose rational coefficients are fixed inductively by matching powers
-under the operator.  The master correctness check is symbolic: applying
-the operator term by term in exact arithmetic must cancel identically.
+under the operator.  A chain exposes them as `Fraction`s (`c`,
+`monomials()`) and computes with integer numerators over one positive
+denominator, the lcm of theirs.  The master correctness check is
+symbolic: applying the operator term by term in exact arithmetic must
+cancel identically.
 
 Because chains are finite monomial sums, the energy outside a light
 cone has a closed form as well, and its vanishing as |t| grows is a
@@ -23,10 +26,10 @@ statement about integer growth exponents rather than quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -40,6 +43,8 @@ VELOCITY = "velocity"
 
 # (coefficient, t power, r power) with exact rational coefficient
 Monomial = tuple[Fraction, int, int]
+# the same with an integer numerator over the chain's denominator
+IntMonomial = tuple[int, int, int]
 # the same with the coefficient rounded to a float
 FloatMonomial = tuple[float, int, int]
 
@@ -74,6 +79,15 @@ class ChainSolution:
             (cj, 2 * j + shift, 2 * self.k - D - 2 * j) for j, cj in enumerate(self.c)
         )
 
+    @cached_property
+    def _scaled(self) -> tuple[tuple[IntMonomial, ...], int]:
+        """The monomials as integer numerators over one positive denominator, the lcm of c's."""
+        den = math.lcm(*(cj.denominator for cj in self.c))
+        return (
+            tuple((c.numerator * (den // c.denominator), a, b) for c, a, b in self.monomials()),
+            den,
+        )
+
 
 def chain_lift(spec: ModeSpec, k: int, kind: str) -> ChainSolution:
     """Determine the chain coefficients for the power-law datum r^(2k-D).
@@ -90,11 +104,12 @@ def chain_lift(spec: ModeSpec, k: int, kind: str) -> ChainSolution:
         raise ValueError(
             f"k={k} outside admissible range [1, {kmax}] for D={D} {kind} data"
         )
+    num, den = 1, 1
     c = [Fraction(1)]
     for j in range(k - 1):
-        num = Fraction((2 * k - 2 * j - D) * (2 * k - 2 * j - 2))
-        den = (2 * j + 2) * (2 * j + 1) if kind == POSITION else (2 * j + 3) * (2 * j + 2)
-        c.append(c[j] * num / den)
+        num *= (2 * k - 2 * j - D) * (2 * k - 2 * j - 2)
+        den *= (2 * j + 2) * (2 * j + 1) if kind == POSITION else (2 * j + 3) * (2 * j + 2)
+        c.append(Fraction(num, den))
     return ChainSolution(spec=spec, k=k, kind=kind, c=tuple(c))
 
 
@@ -107,11 +122,11 @@ def _eval_monomials(
     return out
 
 
-def _derivative_monomials(sol: ChainSolution) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
-    """Monomials of (u_t, u_r)."""
-    ut: list[Monomial] = []
-    ur: list[Monomial] = []
-    for coeff, a, b in sol.monomials():
+def _derivative_monomials(monomials: Iterable[tuple]) -> tuple[tuple, tuple]:
+    """Monomials of (u_t, u_r) from those of u, in the same coefficient type."""
+    ut = []
+    ur = []
+    for coeff, a, b in monomials:
         if a >= 1:
             ut.append((coeff * a, a - 1, b))
         ur.append((coeff * b, a, b - 1))
@@ -120,9 +135,10 @@ def _derivative_monomials(sol: ChainSolution) -> tuple[tuple[Monomial, ...], tup
 
 def _float_tables(sol: ChainSolution) -> tuple[tuple[FloatMonomial, ...], ...]:
     """Float monomials of (u, u_t, u_r), each coefficient rounded once."""
+    monomials = sol.monomials()
     return tuple(
         tuple((float(c), a, b) for c, a, b in family)
-        for family in (sol.monomials(), *_derivative_monomials(sol))
+        for family in (monomials, *_derivative_monomials(monomials))
     )
 
 
@@ -160,21 +176,13 @@ def wave_residual(sol: ChainSolution) -> dict[tuple[int, int], Fraction]:
     empty map certifies the chain exactly.
     """
     D = sol.lifted_dim
-    acc: dict[tuple[int, int], Fraction] = {}
-
-    def add(coeff: Fraction, a: int, b: int) -> None:
-        if coeff == 0:
-            return
-        key = (a, b)
-        acc[key] = acc.get(key, Fraction(0)) + coeff
-        if acc[key] == 0:
-            del acc[key]
-
-    for coeff, a, b in sol.monomials():
+    monomials, den = sol._scaled
+    acc: dict[tuple[int, int], int] = {}
+    for n, a, b in monomials:
         if a >= 2:
-            add(coeff * a * (a - 1), a - 2, b)
-        add(-coeff * b * (b + D - 2), a, b - 2)
-    return acc
+            acc[a - 2, b] = acc.get((a - 2, b), 0) + n * a * (a - 1)
+        acc[a, b - 2] = acc.get((a, b - 2), 0) - n * b * (b + D - 2)
+    return {key: Fraction(v, den) for key, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -195,42 +203,49 @@ class ConeEnergyTerm:
         return self.t_power + self.base_power
 
 
-def _collect_energy(
-    families: Iterable[Sequence[tuple]], D: int, zero
-) -> list[tuple]:
-    """Sorted nonzero (coeff, t_power, rho_power) of int_rho^inf f^2 r^(D-1) dr.
+def _collect_energy(first: ChainSolution, second: ChainSolution) -> list[tuple[Fraction, int, int]]:
+    """Sorted nonzero (coeff, t_power, rho_power) of int_rho^inf (ut ut' + ur ur') r^(D-1) dr.
 
-    Each family holds the (coeff, t_power, r_power) monomials of one
-    derivative (u_t or u_r); its square is integrated term by term.
-    `zero` starts every sum, so coefficients stay floats or Fractions.
+    (ut, ur) are the derivatives of `first`, (ut', ur') those of
+    `second`, in the same lifted dimension.  Numerator products are
+    summed as ints for each (t_power, rho_power); rho_power fixes the
+    integral's 1/(-rho_power), so each sum is divided once.
     """
-    acc: dict[tuple[int, int], object] = {}
-    for family in families:
-        for (c1, a1, b1), (c2, a2, b2) in product(family, family):
-            m = b1 + b2 + D
-            assert m < 0, "divergent exterior integral: inadmissible exponent"
-            key = (a1 + a2, m)
-            acc[key] = acc.get(key, zero) + c1 * c2 / (-m)
-    return [(c, a, m) for (a, m), c in sorted(acc.items()) if c != 0]
+    D = first.lifted_dim
+    monomials1, den1 = first._scaled
+    monomials2, den2 = second._scaled
+    acc: dict[tuple[int, int], int] = {}
+    for family1, family2 in zip(_derivative_monomials(monomials1), _derivative_monomials(monomials2)):
+        for n1, a1, b1 in family1:
+            for n2, a2, b2 in family2:
+                m = b1 + b2 + D
+                assert m < 0, "divergent exterior integral: inadmissible exponent"
+                key = (a1 + a2, m)
+                acc[key] = acc.get(key, 0) + n1 * n2
+    den = den1 * den2
+    return [(Fraction(v, den * -m), a, m) for (a, m), v in sorted(acc.items()) if v]
 
 
 def _energy_terms(
     terms: Sequence[tuple[float, ChainSolution]]
-) -> tuple[int, tuple[tuple[float, int, int], ...]]:
-    """Collect (coeff, t_power, rho_power) of int_rho^inf (ut^2+ur^2) r^(D-1) dr."""
+) -> tuple[tuple[float, int, int], ...]:
+    """(coeff, t_power, rho_power) of int_rho^inf (ut^2+ur^2) r^(D-1) dr, in floats.
+
+    Each coefficient is sum_ij w_i w_j float(E_ij) over the ordered
+    pairs of chains, where E_ij is the exact pair term of that power.
+    """
     if not terms:
-        return 0, ()
+        return ()
     D = terms[0][1].lifted_dim
     for _, sol in terms:
         if sol.lifted_dim != D:
             raise ValueError("all chains in a combination must share the lifted dimension")
-    ut_all: list[tuple[float, int, int]] = []
-    ur_all: list[tuple[float, int, int]] = []
-    for weight, sol in terms:
-        ut_terms, ur_terms = _derivative_monomials(sol)
-        ut_all.extend((weight * float(c), a, b) for c, a, b in ut_terms)
-        ur_all.extend((weight * float(c), a, b) for c, a, b in ur_terms)
-    return D, tuple(_collect_energy((ut_all, ur_all), D, 0.0))
+    acc: dict[tuple[int, int], float] = {}
+    for w1, sol1 in terms:
+        for w2, sol2 in terms:
+            for c, a, m in _collect_energy(sol1, sol2):
+                acc[a, m] = acc.get((a, m), 0.0) + w1 * w2 * float(c)
+    return tuple((c, a, m) for (a, m), c in sorted(acc.items()) if c != 0)
 
 
 def cone_energy_terms(sol: ChainSolution) -> tuple[ConeEnergyTerm, ...]:
@@ -242,7 +257,7 @@ def cone_energy_terms(sol: ChainSolution) -> tuple[ConeEnergyTerm, ...]:
     """
     return tuple(
         ConeEnergyTerm(coeff=c, t_power=a, base_power=m)
-        for c, a, m in _collect_energy(_derivative_monomials(sol), sol.lifted_dim, Fraction(0))
+        for c, a, m in _collect_energy(sol, sol)
     )
 
 
@@ -273,7 +288,7 @@ def exterior_energy(
 
     Cross terms between chains are included; all chains must share D.
     """
-    return _sum_energy(_energy_terms(terms)[1], rho, t)
+    return _sum_energy(_energy_terms(terms), rho, t)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +339,7 @@ class ExteriorDescriptor:
     @cached_property
     def _energy(self) -> tuple[tuple[float, int, int], ...]:
         """Collected (coeff, t_power, rho_power) of the exterior energy."""
-        return _energy_terms(self.terms)[1]
+        return _energy_terms(self.terms)
 
     def eval(self, r: ArrayLike, t: float) -> ExactValues:
         arr = np.asarray(r, dtype=float)

@@ -473,10 +473,12 @@ def cone_energy(traj: Trajectory, R: float) -> ConeEnergySeries:
         raise ValueError("cone radius must be positive")
     _check_clean(traj)
     desc = traj.descriptor
-    integrand = (traj.ut**2 + traj.ur() ** 2) * traj.r ** (traj.lifted_dim - 1)
+    # one gradient over the stack, then the integrand row by row, so its
+    # temporaries stay one snapshot long
+    weight = traj.r ** (traj.lifted_dim - 1)
     vals = []
-    for t, row in zip(traj.times, integrand):
-        e = _moving_tail_integral(traj.r, R + abs(t), row)
+    for t, ut, ur in zip(traj.times, traj.ut, traj.ur()):
+        e = _moving_tail_integral(traj.r, R + abs(t), (ut**2 + ur**2) * weight)
         if desc is not None:
             e += desc.exterior_energy(max(traj.config.r_max, R + abs(t)), t)
         vals.append(e)

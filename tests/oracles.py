@@ -10,7 +10,10 @@ are the library's root isolation written plainly, in ``Fraction`` long
 division and ``np.polyval`` bisection, for bit-for-bit comparison with
 its integer form.  The leapfrog references are the radial stepper
 written plainly: once in the solver's own rounding order, once in the
-centred-stencil order.
+centred-stencil order.  The chain references apply the wave operator
+and collect the cone energy in plain `Fraction` sums, and the envelope
+reference builds the extremal S one row at a time with a boolean mask,
+for bit-for-bit comparison with the integer and block forms.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -329,3 +333,94 @@ def refine_root_reference(coeffs, lo: Fraction, hi: Fraction) -> float:
         else:
             b = m
     return 0.5 * (a + b)
+
+
+def wave_residual_reference(sol) -> dict[tuple[int, int], Fraction]:
+    """u_tt - u_rr - ((D-1)/r) u_r of a chain in `Fraction`s, dropping each sum that cancels."""
+    D = sol.lifted_dim
+    acc: dict[tuple[int, int], Fraction] = {}
+
+    def add(coeff: Fraction, a: int, b: int) -> None:
+        if coeff == 0:
+            return
+        key = (a, b)
+        acc[key] = acc.get(key, Fraction(0)) + coeff
+        if acc[key] == 0:
+            del acc[key]
+
+    for coeff, a, b in sol.monomials():
+        if a >= 2:
+            add(coeff * a * (a - 1), a - 2, b)
+        add(-coeff * b * (b + D - 2), a, b - 2)
+    return acc
+
+
+def cone_energy_terms_reference(monomials, D: int) -> list[tuple[Fraction, int, int]]:
+    """Sorted nonzero (coeff, t_power, rho_power) of int_rho^inf (ut^2+ur^2) r^(D-1) dr, in `Fraction`s.
+
+    `monomials` are the (coeff, t_power, r_power) of u in lifted dimension D.
+    """
+    ut, ur = [], []
+    for coeff, a, b in monomials:
+        if a >= 1:
+            ut.append((coeff * a, a - 1, b))
+        ur.append((coeff * b, a, b - 1))
+    acc: dict[tuple[int, int], Fraction] = {}
+    for family in (ut, ur):
+        for (c1, a1, b1), (c2, a2, b2) in product(family, family):
+            m = b1 + b2 + D
+            assert m < 0
+            key = (a1 + a2, m)
+            acc[key] = acc.get(key, Fraction(0)) + c1 * c2 / (-m)
+    return [(c, a, m) for (a, m), c in sorted(acc.items()) if c != 0]
+
+
+def worst_case_S_reference(params, R: float, r_max: float, grid_ratio: float = 1.05,
+                           seed_value: float = 0.499) -> tuple[np.ndarray, bool]:
+    """(S, probes_interpolated) of the extremal envelope, one row at a time.
+
+    Each row masks the admissible r1 out of the whole built prefix and
+    forms its candidates afresh; the probes interpolate through
+    `np.searchsorted` on the prefix.  The grid and rules are those of
+    `decay_lab.worst_case_S`.
+    """
+    inner = sep = 4.0
+    n = int(math.floor(math.log(r_max / R) / math.log(grid_ratio)))
+    x = grid_ratio ** np.arange(n + 1)
+    logx = np.log(x)
+    S = np.empty(n + 1)
+    alpha, l = params.alpha, params.l
+    gstar = params.gamma_star
+    interpolated = False
+
+    def s_interp(p: float, i: int) -> float:
+        j = int(np.searchsorted(logx[:i], math.log(p)))
+        if j <= 0:
+            return float(S[0])
+        if j >= i:
+            return float(S[i - 1])
+        w = (math.log(p) - logx[j - 1]) / (logx[j] - logx[j - 1])
+        lo = math.log(max(S[j - 1], 1e-300))
+        hi = math.log(max(S[j], 1e-300))
+        return math.exp((1 - w) * lo + w * hi)
+
+    for i in range(n + 1):
+        xi = float(x[i])
+        if xi < inner * sep:
+            S[i] = seed_value
+            continue
+        hi = xi / sep
+        mask = (x[:i] >= inner) & (x[:i] <= hi)
+        best = math.inf
+        if np.any(mask):
+            cand = 0.5 * (x[:i][mask] / xi) ** alpha + 0.5 * S[:i][mask] ** l
+            best = float(np.min(cand))
+        for p in (inner, hi, xi ** (1.0 / l), xi ** (alpha / (alpha + gstar * l))):
+            if inner <= p <= hi:
+                interpolated = True
+                sp = s_interp(p, i)
+                best = min(best, 0.5 * (p / xi) ** alpha + 0.5 * sp**l)
+        if xi <= inner**l:
+            best = min(best, seed_value)
+        S[i] = best
+    return S, interpolated

@@ -9,6 +9,8 @@ from wavechannel import decay_lab as dl
 from wavechannel import exterior_basis as eb
 from wavechannel import radial_solver as rs
 
+from oracles import worst_case_S_reference
+
 
 class TestRecursionParams:
     def test_gamma_star(self):
@@ -179,6 +181,32 @@ class TestWorstCase:
             dl.worst_case_S(p, R=1.0, r_max=1e6, seed_value=0.5)
         with pytest.raises(ValueError):
             dl.worst_case_S(p, R=-1.0, r_max=1e6)
+
+
+class TestEnvelopeOracle:
+    """The block envelope equals the masked row-by-row loop, bit for bit."""
+
+    @pytest.mark.parametrize("grid_ratio", [1.02, 1.05, 1.3, 4.5])
+    @pytest.mark.parametrize("alpha,l", [(2.0, 3.0), (0.5, 1.5), (1.0, 5.0), (3.0, 1.2), (0.3, 8.0)])
+    def test_equals_the_masked_loop(self, alpha, l, grid_ratio):
+        p = dl.RecursionParams(alpha, l, 0.1 * (1 - 1 / l) * alpha)
+        for R in (0.7, 1.0, 2.0):
+            for seed in (0.499, 0.0):
+                want, interpolated = worst_case_S_reference(p, R, 1e6, grid_ratio, seed)
+                x, S, flag = dl._extremal_S(p, 1e6 / R, grid_ratio, seed)
+                assert np.array_equal(x, grid_ratio ** np.arange(want.size))
+                assert np.array_equal(S, want) and flag == interpolated, (R, seed)
+                if grid_ratio < 4.5:  # a 4.5 grid has too few points to fit a decade
+                    rep = dl.worst_case_S(p, R, 1e6, grid_ratio, seed)
+                    assert np.array_equal(rep.values, want)
+                    assert rep.probes_interpolated == interpolated
+
+    def test_capped_blocks_on_a_fine_grid(self):
+        # 1.005 puts about 280 rows in a block, so the cell cap splits them
+        p = dl.RecursionParams(1.0, 5.0, 0.08)
+        want, interpolated = worst_case_S_reference(p, 1.0, 1e5, 1.005)
+        _, S, flag = dl._extremal_S(p, 1e5, 1.005, 0.499)
+        assert np.array_equal(S, want) and flag == interpolated
 
 
 def one_over_r_field(r_max: float, n_r: int) -> rs.RadialGridField:

@@ -10,6 +10,8 @@ from wavechannel import exact_evolution as ev
 from wavechannel import exterior_basis as eb
 from wavechannel.polylib import gauss_nodes
 
+from oracles import cone_energy_terms_reference, wave_residual_reference
+
 
 def admissible_cases(d_range=range(2, 14), nu_max=6):
     for d in d_range:
@@ -74,6 +76,68 @@ class TestResidualOracle:
         sol = ev.chain_lift(eb.ModeSpec(7, 0), 2, ev.POSITION)
         bad = replace(sol, spec=eb.ModeSpec(9, 0))
         assert ev.wave_residual(bad) != {}
+
+
+class TestIntegerChains:
+    """Integer-numerator residuals and energy terms equal the plain `Fraction` sums."""
+
+    def test_criterion_03_sweep_equals_the_fraction_oracles(self):
+        count = 0
+        for d in (3, 5, 7, 9, 11, 13):
+            for spec, k, kind in admissible_cases([d], 6):
+                sol = ev.chain_lift(spec, k, kind)
+                assert ev.wave_residual(sol) == wave_residual_reference(sol) == {}
+                want = tuple(
+                    ev.ConeEnergyTerm(coeff=c, t_power=a, base_power=m)
+                    for c, a, m in cone_energy_terms_reference(sol.monomials(), sol.lifted_dim)
+                )
+                assert ev.cone_energy_terms(sol) == want, (spec, k, kind)
+                count += 1
+        assert count == 273
+
+    def test_scaled_form_is_c_over_one_denominator(self):
+        sol = ev.chain_lift(eb.ModeSpec(13, 6), 6, ev.POSITION)
+        monomials, den = sol._scaled
+        assert den > 0
+        assert [Fraction(n, den) for n, _, _ in monomials] == list(sol.c)
+        assert [(a, b) for _, a, b in monomials] == [(a, b) for _, a, b in sol.monomials()]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda sol: replace(sol, c=(Fraction(1), Fraction(-2))),
+            lambda sol: replace(sol, spec=eb.ModeSpec(9, 0)),
+            lambda sol: replace(sol, c=(Fraction(1, 3), Fraction(-5, 7))),
+        ],
+    )
+    def test_corrupted_chains_equal_the_fraction_oracles(self, corrupt):
+        bad = corrupt(ev.chain_lift(eb.ModeSpec(7, 0), 2, ev.POSITION))
+        residual = ev.wave_residual(bad)
+        assert residual != {}
+        assert residual == wave_residual_reference(bad)
+        assert [(t.coeff, t.t_power, t.base_power) for t in ev.cone_energy_terms(bad)] == (
+            cone_energy_terms_reference(bad.monomials(), bad.lifted_dim)
+        )
+
+    def test_descriptor_energy_is_the_rounded_exact_pair_sum(self):
+        # each float coefficient is sum_ij w_i w_j float(E_ij); it lies within
+        # a few ulp of the exact energy of the weighted combination
+        data = eb.build_exterior_mode(eb.ModeSpec(5, 2), 1.0, A=[0.7, -1.3], B=[1.1, 0.4])
+        desc = ev.descriptor_for_mode(data)
+        assert len(desc.terms) == 4
+        combined = [(Fraction(w) * c, a, b) for w, sol in desc.terms for c, a, b in sol.monomials()]
+        exact = {(a, m): c for c, a, m in cone_energy_terms_reference(combined, desc.lifted_dim)}
+        table = {(a, m): c for c, a, m in desc._energy}
+        assert table.keys() == exact.keys()
+        for key, c in table.items():
+            assert c == pytest.approx(float(exact[key]), rel=1e-14)
+
+    def test_single_chain_energy_is_the_exact_terms_scaled(self):
+        sol = ev.chain_lift(eb.ModeSpec(9, 1), 2, ev.VELOCITY)
+        desc = ev.ExteriorDescriptor(terms=((1.5, sol),), valid_radius=1.0)
+        assert desc._energy == tuple(
+            (1.5 * 1.5 * float(t.coeff), t.t_power, t.base_power) for t in ev.cone_energy_terms(sol)
+        )
 
 
 class TestEvalExact:

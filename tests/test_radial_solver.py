@@ -434,6 +434,26 @@ class TestConeEnergy:
         with pytest.raises(ValueError):
             rs.cone_energy(traj, R=0.0)
 
+    @staticmethod
+    def bump_run():
+        cfg = rs.SolverConfig(r_max=24.0, n_r=801, t_final=5.0, store_every=20)
+        return compact_bump(cfg, amplitude=1.0, support=4.0), cfg
+
+    @pytest.mark.parametrize("run", ["descriptor", "extrapolated"])
+    def test_rows_equal_the_stack_form(self, run):
+        # the integrand formed row by row equals the whole stack's, bit for bit
+        fld, cfg = descriptor_run(5, 0, [0.8], [-1.2]) if run == "descriptor" else self.bump_run()
+        traj = rs.solve_mode_linear(fld, cfg)
+        R = 1.0
+        integrand = (traj.ut**2 + traj.ur() ** 2) * traj.r ** (traj.lifted_dim - 1)
+        want = []
+        for t, row in zip(traj.times, integrand):
+            e = rs._moving_tail_integral(traj.r, R + abs(t), row)
+            if traj.descriptor is not None:
+                e += traj.descriptor.exterior_energy(max(traj.config.r_max, R + abs(t)), t)
+            want.append(e)
+        assert np.array_equal(rs.cone_energy(traj, R).values, np.asarray(want))
+
 
 def frozen_one_over_r_trajectory(r_max=300.0, n_r=3001, t_half=16.0, n_t=161, lifted_dim=3):
     # 1/r is the stationary d=3 monopole mode, so every snapshot is the
