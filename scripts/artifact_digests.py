@@ -2,8 +2,8 @@
 """Print a sha256 digest of every README artifact and script output.
 
 Runs the README's command lines (the pipeline with the README's JSON
-config) and two finite-difference `evolve` variants through
-`wavechannel.cli.run` in a temporary directory, then runs the
+config), two finite-difference `evolve` variants and three modes beyond
+d = 3 through `wavechannel.cli.run` in a temporary directory, then runs the
 solver-facing scripts in this directory with their defaults and
 captures what they print.  Each artifact and each script's stdout gets
 one `sha256  name` line.  Two checkouts that print the same lines
@@ -55,6 +55,12 @@ class DigestConfig:
             # the README's evolve line is exact; these two go through the stepper
             "evolve --d 3 --A 1.0 --t-final 4 --out evolve_fd",
             "evolve --gaussian 1.0 1.5 --out evolve_gaussian",
+            # beyond the README's d = 3: a degree-1 P with a lifted blend, three
+            # chains (one of them a velocity chain) and the descriptor's
+            # cross-term energy beyond the grid
+            "evolve --d 4 --nu 1 --R 1.3 --A 1 --B 0.7 --t-final 2 --out evolve_lifted",
+            "evolve --exact --d 7 --A 0.5 1 --B 0.25 --t-final 3 --out evolve_exact_d7",
+            "energy --d 5 --A 1 --B 0.3 --cone-radius 2 --out energy_d5",
         ]
     )
     scripts: list[str] = field(

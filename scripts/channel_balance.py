@@ -81,9 +81,7 @@ def main(argv=None) -> int:
     quiet_cfg = snapped_config(8.0, 401, 128.0)
     fld = rs.lifted_field_from_mode(mode, quiet_cfg)
     vals = eb.eval_extended(mode, fld.r)
-    report = rad.channel_identity_check(
-        fld, quiet_cfg, R=1.0, du0=vals.du0_dr, reversed_descriptor=fld.descriptor
-    )
+    report = rad.channel_identity_check(fld, quiet_cfg, R=1.0, du0=vals.du0_dr)
     print(
         "weakly non-radiative A/r data at T=128: "
         f"lhs={report.lhs:.2e}, rhs={report.rhs:.2e}, total={report.total:.2f}"

@@ -9,7 +9,7 @@ nonlinear exterior estimates.
 Submodules
 ----------
 polylib
-    Exact and floating polynomial machinery, two orthogonal families,
+    Exact rational polynomials, two orthogonal families,
     quadrature, and the sup / weighted-derivative inequality checks.
 exterior_basis
     Mode specifications and the exterior data families, with exact

@@ -460,7 +460,7 @@ def _run_nlw(cfg: dict, base: Path) -> dict:
     _refuse_blow_up(traj, csv_path, ("t", "E_total"))
     series = rs.energy_series(traj)
     _write_csv(csv_path, ("t", "E_total"), zip(traj.times, series))
-    drift = float((np.max(series) - np.min(series)) / series[0]) if series[0] > 0 else 0.0
+    drift = float((np.max(series) - np.min(series)) / abs(series[0])) if series[0] != 0 else 0.0
     report: dict[str, Any] = {
         "nonlinearity": cfg["nonlinearity"],
         "blown_up": False,

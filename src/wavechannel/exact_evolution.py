@@ -158,15 +158,6 @@ class ExactValues:
     ur: ArrayLike
 
 
-def eval_exact(sol: ChainSolution, r: ArrayLike, t: float) -> ExactValues:
-    """Evaluate the chain and its first derivatives at radius r, time t."""
-    arr = _positive_radii(r)
-    u, ut, ur = (_eval_monomials(family, arr, float(t)) for family in _float_tables(sol))
-    if np.isscalar(r) or arr.ndim == 0:
-        return ExactValues(float(u), float(ut), float(ur))
-    return ExactValues(u, ut, ur)
-
-
 def wave_residual(sol: ChainSolution) -> dict[tuple[int, int], Fraction]:
     """Symbolic residual of u_tt - u_rr - ((D-1)/r) u_r, power by power.
 
@@ -259,36 +250,6 @@ def cone_energy_terms(sol: ChainSolution) -> tuple[ConeEnergyTerm, ...]:
         ConeEnergyTerm(coeff=c, t_power=a, base_power=m)
         for c, a, m in _collect_energy(sol, sol)
     )
-
-
-def exact_cone_energy(sol: ChainSolution, R: float, t: float) -> float:
-    """Energy outside the light cone {r > R + |t|} at time t, exactly."""
-    if not R > 0:
-        raise ValueError("cone base radius must be positive")
-    rho = R + abs(t)
-    total = 0.0
-    for term in cone_energy_terms(sol):
-        total += float(term.coeff) * float(t) ** term.t_power * rho**term.base_power
-    return total
-
-
-def _sum_energy(collected: Iterable[tuple[float, int, int]], rho: float, t: float) -> float:
-    if not rho > 0:
-        raise ValueError("exterior radius must be positive")
-    total = 0.0
-    for c, a, m in collected:
-        total += c * float(t) ** a * rho**m
-    return total
-
-
-def exterior_energy(
-    terms: Sequence[tuple[float, ChainSolution]], rho: float, t: float
-) -> float:
-    """Energy of a chain combination in {r > rho} at time t, exactly.
-
-    Cross terms between chains are included; all chains must share D.
-    """
-    return _sum_energy(_energy_terms(terms), rho, t)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +348,16 @@ class ExteriorDescriptor:
         return u
 
     def exterior_energy(self, rho: float, t: float) -> float:
-        return _sum_energy(self._energy, rho, t)
+        """Energy of the chain combination in {r > rho} at time t, exactly.
+
+        Cross terms between chains are included; all chains must share D.
+        """
+        if not rho > 0:
+            raise ValueError("exterior radius must be positive")
+        total = 0.0
+        for c, a, m in self._energy:
+            total += c * float(t) ** a * rho**m
+        return total
 
 
 def descriptor_for_mode(data: ExteriorModeData) -> ExteriorDescriptor:

@@ -158,23 +158,6 @@ class ProfileValues:
     du0_dr: ArrayLike
 
 
-def eval_profiles(data: ExteriorModeData, r: ArrayLike) -> ProfileValues:
-    """Evaluate u0, u1 and the radial derivative of u0 at radii r > R."""
-    arr = np.asarray(r, dtype=float)
-    if not np.all(arr > data.R):
-        raise ValueError("profiles are defined on the exterior region r > R only")
-    mu = data.spec.mu
-    p = data.position_poly().to_float()
-    q = data.velocity_poly().to_float()
-    z = 1.0 / arr
-    u0 = arr ** (-mu) * p(z)
-    u1 = arr ** (-mu - 1) * q(z)
-    du0 = arr ** (-mu - 1) * (-mu * p(z) - z * p.deriv()(z))
-    if np.isscalar(r) or arr.ndim == 0:
-        return ProfileValues(float(u0), float(u1), float(du0))
-    return ProfileValues(u0, u1, du0)
-
-
 def eval_extended(data: ExteriorModeData, r: ArrayLike) -> ProfileValues:
     """Profiles on all r > 0: exterior family outside R, C1 blend inside.
 
@@ -187,8 +170,8 @@ def eval_extended(data: ExteriorModeData, r: ArrayLike) -> ProfileValues:
         raise ValueError("radii must be nonnegative")
     mu = data.spec.mu
     Rv = data.R
-    p = data.position_poly().to_float()
-    q = data.velocity_poly().to_float()
+    p = data.position_poly()
+    q = data.velocity_poly()
     zR = 1.0 / Rv
     u0R = Rv ** (-mu) * p(zR)
     du0R = Rv ** (-mu - 1) * (-mu * p(zR) - zR * p.deriv()(zR))

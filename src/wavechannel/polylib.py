@@ -1,4 +1,4 @@
-"""Polynomial machinery with exact-rational and floating backends.
+"""Exact-rational polynomial machinery.
 
 Two families orthogonal on [-1, 1] are provided: the Legendre
 polynomials (weight dx), exact by their three-term recurrence, and a
@@ -9,14 +9,13 @@ weighted-derivative inequalities used by the exterior-decay estimates
 elsewhere in the package; their sup sides locate critical points by
 exact Sturm isolation at every degree.
 
-An exact polynomial is stored as integer numerators over one positive
+A polynomial is stored as integer numerators over one positive
 denominator, the content and primitive-part form (Knuth, TAOCP vol. 2,
 section 4.6.1): sums, products, derivatives, integrals, evaluation at a
 rational point and the Sturm chains run on Python ints, with one gcd
 per result, and the coefficients read as ``fractions.Fraction``.
-Floating polynomials carry floats.  The two representations never mix
-inside one value: conversions are explicit via ``to_float`` /
-``to_exact``.
+Floats enter only at evaluation: a float or array argument is
+evaluated on the coefficients rounded once, ``float_coeffs``.
 """
 
 from __future__ import annotations
@@ -49,6 +48,11 @@ def _is_exact_scalar(c) -> bool:
     return isinstance(c, _EXACT_TYPES) or isinstance(c, np.integer)
 
 
+def _fraction(c) -> Fraction:
+    """c at its exact value: ints, numpy ints, Fractions and binary floats."""
+    return Fraction(float(c) if isinstance(c, np.floating) else c)
+
+
 def _horner_ints(num, p: int, q: int) -> tuple[int, int]:
     """(sum num[i] p^i q^(n-i), q^n), n = len(num) - 1: the value at p/q times q^n."""
     acc, qn = num[-1], 1
@@ -59,53 +63,40 @@ def _horner_ints(num, p: int, q: int) -> tuple[int, int]:
 
 
 class Poly:
-    """Dense univariate polynomial, ascending coefficients.
+    """Dense univariate polynomial with exact rational coefficients, ascending.
 
-    Coefficients are either all exact or all floats.  An exact
-    polynomial is stored as integer numerators ``num`` over one positive
-    denominator ``den``, with gcd(den, content of num) = 1, so equal
-    polynomials have equal fields; its ``coeffs`` are the ``Fraction``
-    values num[i]/den, built on first read.  A float polynomial keeps
-    its float ``coeffs`` (``num`` and ``den`` are None).  Trailing zeros
-    are stripped; the zero polynomial is a single zero coefficient.
+    The constructor takes ints, numpy ints, ``Fraction``s and floats,
+    each at its exact value.  The polynomial is stored as integer
+    numerators ``num`` over one positive denominator ``den``, with
+    gcd(den, content of num) = 1, so equal polynomials have equal
+    fields.  ``coeffs`` reads the ``Fraction`` values num[i]/den and
+    ``float_coeffs`` their correctly rounded floats, each built on
+    first read.  Trailing zeros are stripped; the zero polynomial is a
+    single zero coefficient.
     """
 
-    __slots__ = ("num", "den", "exact", "_coeffs")
+    __slots__ = ("num", "den", "_coeffs", "_float_coeffs")
 
     def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        if not coeffs:
-            coeffs = [0]
-        if all(_is_exact_scalar(c) for c in coeffs):
-            coeffs = [Fraction(c) for c in coeffs]
-            den = math.lcm(*(c.denominator for c in coeffs))
-            self._set_exact([c.numerator * (den // c.denominator) for c in coeffs], den)
-            return
-        if any(_is_exact_scalar(c) for c in coeffs):
-            raise TypeError("mixed exact and floating coefficients")
-        coeffs = [float(c) for c in coeffs]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        self._fill(None, None, tuple(coeffs))
+        coeffs = [_fraction(c) for c in coeffs] or [Fraction(0)]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._set([c.numerator * (den // c.denominator) for c in coeffs], den)
 
-    def _fill(self, num, den, coeffs) -> None:
-        for name, value in (("num", num), ("den", den), ("exact", num is not None), ("_coeffs", coeffs)):
-            object.__setattr__(self, name, value)
-
-    def _set_exact(self, num: list[int], den: int) -> None:
+    def _set(self, num: list[int], den: int) -> None:
         while len(num) > 1 and num[-1] == 0:
             num.pop()
         g = math.gcd(den, *num)
         if g > 1:
             num = [c // g for c in num]
             den //= g
-        self._fill(tuple(num), den, None)
+        for name, value in zip(self.__slots__, (tuple(num), den, None, None)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _from_ints(cls, num: list[int], den: int) -> "Poly":
-        """Exact polynomial sum(num[i] x^i) / den, den > 0, normalised."""
+        """The polynomial sum(num[i] x^i) / den, den > 0, normalised."""
         p = cls.__new__(cls)
-        p._set_exact(num, den)
+        p._set(num, den)
         return p
 
     def __setattr__(self, name, value):
@@ -114,68 +105,54 @@ class Poly:
     # -- basic protocol -------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple:
+    def coeffs(self) -> tuple[Fraction, ...]:
         if self._coeffs is None:
             object.__setattr__(self, "_coeffs", tuple(Fraction(c, self.den) for c in self.num))
         return self._coeffs
 
     @property
+    def float_coeffs(self) -> tuple[float, ...]:
+        """Each coefficient rounded once: the correctly rounded num[i]/den."""
+        if self._float_coeffs is None:
+            object.__setattr__(self, "_float_coeffs", tuple(c / self.den for c in self.num))
+        return self._float_coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.num if self.exact else self._coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        if self.exact:
-            return self.num == (0,)
-        return self._coeffs == (0.0,)
+        return self.num == (0,)
 
     def __repr__(self):
-        tag = "exact" if self.exact else "float"
-        return f"Poly({list(self.coeffs)!r}, {tag})"
+        return f"Poly({list(self.coeffs)!r})"
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.exact != other.exact:
-            return False
-        if self.exact:
-            return self.den == other.den and self.num == other.num
-        return self._coeffs == other._coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        if self.exact:
-            return hash((True, self.num, self.den))
-        return hash((False, self._coeffs))
-
-    def _check_mode(self, other: "Poly"):
-        if self.exact != other.exact:
-            raise TypeError("cannot combine exact and floating polynomials; convert explicitly")
+        return hash((self.num, self.den))
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_mode(other)
-        if self.exact:
-            den = math.lcm(self.den, other.den)
-            fa, fb = den // self.den, den // other.den
-            a, b = self.num, other.num
-            if len(a) < len(b):
-                a, b, fa, fb = b, a, fb, fa
-            out = [fa * c for c in a]
-            for i, c in enumerate(b):
-                out[i] += fb * c
-            return Poly._from_ints(out, den)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        a, b = self.num, other.num
+        if len(a) < len(b):
+            a, b, fa, fb = b, a, fb, fa
+        out = [fa * c for c in a]
+        for i, c in enumerate(b):
+            out[i] += fb * c
+        return Poly._from_ints(out, den)
 
     def __neg__(self):
-        if self.exact:
-            return Poly._from_ints([-c for c in self.num], self.den)
-        return Poly([-c for c in self.coeffs])
+        return Poly._from_ints([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -183,95 +160,52 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._check_mode(other)
-            if self.exact:
-                b = other.num
-                out = [0] * (len(self.num) + len(b) - 1)
-                for i, a in enumerate(self.num):
-                    if a:
-                        for j, c in enumerate(b):
-                            out[i + j] += a * c
-                return Poly._from_ints(out, self.den * other.den)
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        return self.scale(other)
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        b = other.num
+        out = [0] * (len(self.num) + len(b) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, c in enumerate(b):
+                    out[i + j] += a * c
+        return Poly._from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        if self.exact:
-            if not _is_exact_scalar(c):
-                raise TypeError("scaling an exact polynomial by a float; convert explicitly")
-            c = Fraction(c)
-            return Poly._from_ints([c.numerator * a for a in self.num], self.den * c.denominator)
-        return Poly([c * a for a in self.coeffs])
+        c = _fraction(c)
+        return Poly._from_ints([c.numerator * a for a in self.num], self.den * c.denominator)
 
     def deriv(self) -> "Poly":
-        if self.exact:
-            return Poly._from_ints([i * c for i, c in enumerate(self.num)][1:] or [0], self.den)
-        if self.degree == 0:
-            return Poly([0.0])
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._from_ints([i * c for i, c in enumerate(self.num)][1:] or [0], self.den)
 
     def antideriv(self) -> "Poly":
-        if self.exact:
-            m = math.lcm(*range(1, len(self.num) + 1))
-            return Poly._from_ints(
-                [0] + [c * (m // (i + 1)) for i, c in enumerate(self.num)], self.den * m
-            )
-        return Poly([0.0] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        m = math.lcm(*range(1, len(self.num) + 1))
+        return Poly._from_ints(
+            [0] + [c * (m // (i + 1)) for i, c in enumerate(self.num)], self.den * m
+        )
 
     def integrate(self, a, b):
-        """Definite integral over [a, b]; exact when self and endpoints are."""
+        """Exact definite integral over [a, b], float endpoints at their exact values."""
         anti = self.antideriv()
-        if not (self.exact and _is_exact_scalar(a) and _is_exact_scalar(b)):
-            return anti(b) - anti(a)
-        a, b = Fraction(a), Fraction(b)
+        a, b = _fraction(a), _fraction(b)
         va, qa = _horner_ints(anti.num, a.numerator, a.denominator)
         vb, qb = _horner_ints(anti.num, b.numerator, b.denominator)
         return Fraction(vb * qa - va * qb, anti.den * qa * qb)
 
-    def compose_affine(self, c0, c1) -> "Poly":
-        """Return p(c0 + c1*x)."""
-        lin = Poly([c0, c1])
-        if self.exact and not lin.exact:
-            raise TypeError("affine map must be exact for an exact polynomial")
-        acc = Poly([self.coeffs[-1]])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * lin + Poly([c])
-        return acc
-
     def __call__(self, x):
+        """Exact value at an exact scalar; otherwise Horner on ``float_coeffs``."""
         if isinstance(x, np.ndarray):
-            return np.polynomial.polynomial.polyval(x, np.asarray(self.to_float().coeffs))
-        if self.exact and _is_exact_scalar(x):
+            return np.polynomial.polynomial.polyval(x, np.asarray(self.float_coeffs))
+        if _is_exact_scalar(x):
             x = Fraction(x)
             acc, qn = _horner_ints(self.num, x.numerator, x.denominator)
             return Fraction(acc, self.den * qn)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        cs = self.float_coeffs
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
             acc = acc * x + c
         return acc
-
-    # -- conversions ------------------------------------------------------
-
-    def to_float(self) -> "Poly":
-        """Float copy; each coefficient is the correctly rounded num[i]/den."""
-        if not self.exact:
-            return self
-        return Poly([c / self.den for c in self.num])
-
-    def to_exact(self) -> "Poly":
-        """Exact copy; floats convert via their exact binary value."""
-        if self.exact:
-            return self
-        return Poly([Fraction(c) for c in self.coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +366,10 @@ def _sturm_chain(p: Poly) -> list[list[int]]:
     return chain
 
 
+# bisection depth at which a bracket is kept even if it still holds several roots
+_MAX_DEPTH = 64
+
+
 def _sign_changes(chain, x: Fraction) -> int:
     # q^n > 0, so value * q^n has the sign of the value at x = p/q
     p, q = x.numerator, x.denominator
@@ -443,9 +381,8 @@ def _sign_changes(chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def isolate_real_roots(p: Poly, a: Fraction, b: Fraction, max_depth: int = 64):
+def isolate_real_roots(p: Poly, a: Fraction, b: Fraction):
     """Disjoint brackets, each containing exactly one distinct root in (a, b]."""
-    p = p.to_exact()
     if p.is_zero or p.degree == 0:
         return []
     chain = _sturm_chain(p)
@@ -457,7 +394,7 @@ def isolate_real_roots(p: Poly, a: Fraction, b: Fraction, max_depth: int = 64):
         count = v_lo - v_hi
         if count <= 0:
             continue
-        if count == 1 or depth >= max_depth:
+        if count == 1 or depth >= _MAX_DEPTH:
             brackets.append((lo, hi))
             continue
         mid = (lo + hi) / 2
@@ -475,7 +412,7 @@ def _refine_root(p: Poly, lo: Fraction, hi: Fraction) -> float:
     Scalar values come from a Horner loop with the multiply-then-add
     rounding of ``np.polyval``, so the bits match it.
     """
-    cs = p.to_float().coeffs[::-1]
+    cs = p.float_coeffs[::-1]
 
     def f(x):
         acc = 0.0
@@ -549,12 +486,6 @@ class LemmaCheck:
 _VARIANTS = ("sup_odd", "deriv_odd", "sup_even", "deriv_even")
 
 
-def _as_exact_poly(poly) -> Poly:
-    if isinstance(poly, Poly):
-        return poly.to_exact()
-    return Poly(list(poly)).to_exact()
-
-
 def lemma_check(poly, variant: str, L, l=None) -> LemmaCheck:
     """Check one of the four interval inequalities on [0, L].
 
@@ -570,7 +501,7 @@ def lemma_check(poly, variant: str, L, l=None) -> LemmaCheck:
     """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    p = _as_exact_poly(poly)
+    p = poly if isinstance(poly, Poly) else Poly(poly)
     L = Fraction(L)
     if L <= 0:
         raise ValueError("L must be positive")

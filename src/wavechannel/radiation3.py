@@ -18,7 +18,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy import integrate
 
-from .exact_evolution import ExteriorDescriptor
 from .exterior_basis import ExteriorModeData, eval_extended
 from .radial_solver import (
     NumericalError,
@@ -324,7 +323,6 @@ def channel_identity_check(
     config: SolverConfig,
     R: float,
     du0: Optional[np.ndarray] = None,
-    reversed_descriptor: Optional[ExteriorDescriptor] = None,
 ) -> ChannelBalance:
     """Test 4 pi (E_+ + E_-) = 2 tail_S(R)^2 on a computed evolution.
 
@@ -332,9 +330,9 @@ def channel_identity_check(
     forward and time-reversed runs; the right side comes from the
     forward map of the same initial data.  Both routes are independent:
     one is quadrature on the evolved grid, the other is algebra on the
-    data.  `reversed_descriptor`, when given, supplies exact exterior
-    ghosts for the time-reversed run (with u1 = 0 the forward
-    descriptor serves both directions).
+    data.  A descriptor on `fld` supplies exact exterior ghosts for
+    both runs: lifted dimension 3 admits no velocity chain, so its
+    chains are even in t and also describe the time-reversed data.
     """
     if fld.lifted_dim != 3:
         raise ValueError("the channel identity is a d = 3 statement")
@@ -348,7 +346,7 @@ def channel_identity_check(
             u=fld.u,
             ut=sign * fld.ut,
             lifted_dim=3,
-            descriptor=fld.descriptor if sign > 0 else reversed_descriptor,
+            descriptor=fld.descriptor,
         )
         traj = solve_mode_linear(data, config)
         _require_healthy(traj)

@@ -2,7 +2,9 @@
 
 Most of these avoid the exact rational code paths: they are float
 quadrature over the physical radial variable, so agreement with the
-library's closed forms is meaningful evidence.  The family references
+library's closed forms is meaningful evidence.  The extended-profile
+reference evaluates the mode profiles on plain float coefficients, for
+bit-for-bit comparison with the library's exact polynomials.  The family references
 are second constructions of the library's objects: Legendre P_n by
 Rodrigues' formula, both families' float three-term recurrences, and
 the radial exponent span from the power-law count.  The Sturm references
@@ -46,11 +48,51 @@ def exterior_norms_quadrature(data: eb.ExteriorModeData, n: int = 120) -> eb.Ser
     """Full-space integrals over {|x| > R} of the single-mode field."""
     d, nu = data.spec.d, data.spec.nu
     r, w = halfline_rule(data.R, n)
-    vals = eb.eval_profiles(data, r)
+    vals = eb.eval_extended(data, r)
     angular = nu * (d - 2 + nu) * float(np.sum(w * vals.u0**2 * r ** (d - 3)))
     u1_norm2 = float(np.sum(w * vals.u1**2 * r ** (d - 1)))
     du0_norm2 = float(np.sum(w * vals.du0_dr**2 * r ** (d - 1)))
     return eb.SeriesNorms(angular, u1_norm2, du0_norm2)
+
+
+def extended_profiles_reference(data: eb.ExteriorModeData, r: np.ndarray) -> eb.ProfileValues:
+    """The C1-extended profiles in plain floats, for bit-for-bit comparison.
+
+    P and Q enter as the floats of their exact coefficients and their
+    derivatives as i*float(c); exterior values come from
+    ``np.polynomial.polynomial.polyval`` and the blend's end values at R
+    from a Python-float Horner loop and R ** -mu.
+    """
+    mu, R = data.spec.mu, data.R
+    p = [float(c) for c in data.position_poly().coeffs]
+    q = [float(c) for c in data.velocity_poly().coeffs]
+    dp = [i * c for i, c in enumerate(p)][1:] or [0.0]
+    dq = [i * c for i, c in enumerate(q)][1:] or [0.0]
+
+    def horner(cs, x):
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
+            acc = acc * x + c
+        return acc
+
+    zR = 1.0 / R
+    du0R = R ** (-mu - 1) * (-mu * horner(p, zR) - zR * horner(dp, zR))
+    du1R = R ** (-mu - 2) * (-(mu + 1) * horner(q, zR) - zR * horner(dq, zR))
+    b0, b1 = du0R / (2.0 * R), du1R / (2.0 * R)
+    a0 = R ** (-mu) * horner(p, zR) - b0 * R**2
+    a1 = R ** (-mu - 1) * horner(q, zR) - b1 * R**2
+
+    polyval = np.polynomial.polynomial.polyval
+    outside = r >= R
+    safe = np.maximum(r, R)
+    z = np.where(outside, 1.0 / safe, 0.0)
+    return eb.ProfileValues(
+        u0=np.where(outside, safe ** (-mu) * polyval(z, p), a0 + b0 * r**2),
+        u1=np.where(outside, safe ** (-mu - 1) * polyval(z, q), a1 + b1 * r**2),
+        du0_dr=np.where(
+            outside, safe ** (-mu - 1) * (-mu * polyval(z, p) - z * polyval(z, dp)), 2.0 * b0 * r
+        ),
+    )
 
 
 def legendre_eval(n: int, x):

@@ -225,9 +225,7 @@ class TestCriterion07ChannelIdentity:
         cfg = snapped_config(8.0, 401, 128.0)
         fld = rs.lifted_field_from_mode(mode, cfg)
         vals = eb.eval_extended(mode, fld.r)
-        report = rad.channel_identity_check(
-            fld, cfg, R=1.0, du0=vals.du0_dr, reversed_descriptor=fld.descriptor
-        )
+        report = rad.channel_identity_check(fld, cfg, R=1.0, du0=vals.du0_dr)
         assert report.total > 1.0
         assert abs(report.lhs) <= 1e-6 * report.total
         assert abs(report.rhs) <= 1e-6 * report.total

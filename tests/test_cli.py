@@ -334,6 +334,19 @@ class TestNlw:
         table = read_csv(outdir, "nlw.csv")
         assert table[0, 1] == pytest.approx(rep["initial_energy"])
 
+    def test_negative_energy_drift_is_relative_to_its_magnitude(self, outdir):
+        rc = run(
+            "nlw --nonlinearity focusing_quintic --gaussian 2.2 1.5 --r-max 32"
+            " --t-final 0.05 --store-every 1".split()
+        )
+        assert rc == 0
+        rep = read_json(outdir, "nlw.json")["report"]
+        energy = read_csv(outdir, "nlw.csv")[:, 1]
+        assert rep["initial_energy"] == energy[0] < 0
+        drift = (energy.max() - energy.min()) / abs(energy[0])
+        assert rep["relative_drift"] == drift
+        assert drift > 1e-3
+
     def test_focusing_blowup_exits_2(self, outdir, capsys):
         rc = run(
             "nlw --gaussian 8.0 1.0 --nonlinearity focusing_quintic"

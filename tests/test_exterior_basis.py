@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from wavechannel import exterior_basis as eb
 
-from oracles import exterior_norms_quadrature, halfline_rule, radial_span
+from oracles import (
+    exterior_norms_quadrature,
+    extended_profiles_reference,
+    halfline_rule,
+    radial_span,
+)
 
 
 def random_mode(rng, d, nu, R=None):
@@ -132,7 +137,7 @@ class TestBuild:
 class TestEvalProfiles:
     def test_one_over_r(self):
         data = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[1.0])
-        vals = eb.eval_profiles(data, 2.0)
+        vals = eb.eval_extended(data, 2.0)
         assert vals.u0 == pytest.approx(0.5, abs=0)
         assert vals.du0_dr == pytest.approx(-0.25, abs=0)
         assert vals.u1 == 0.0
@@ -140,32 +145,25 @@ class TestEvalProfiles:
     def test_d7_second_slot(self):
         # A = (0, 1) activates the k1 = 2 monomial: u0 = r^-3.
         data = eb.build_exterior_mode(eb.ModeSpec(7, 0), 1.0, A=[0.0, 1.0], B=[0.0])
-        vals = eb.eval_profiles(data, 2.0)
+        vals = eb.eval_extended(data, 2.0)
         assert vals.u0 == pytest.approx(0.125, rel=1e-15)
 
     def test_leading_coefficient_limit(self):
         rng = np.random.default_rng(3)
         data = random_mode(rng, 5, 3, R=1.0)
         r = 1e8
-        vals = eb.eval_profiles(data, r)
+        vals = eb.eval_extended(data, r)
         # constant term of P dominates as z -> 0
         lead = float(data.position_poly().coeffs[0])
         assert vals.u0 * r ** data.spec.mu == pytest.approx(lead, rel=1e-6)
-
-    def test_rejects_interior_radius(self):
-        data = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[1.0])
-        with pytest.raises(ValueError):
-            eb.eval_profiles(data, 1.0)
-        with pytest.raises(ValueError):
-            eb.eval_profiles(data, np.array([2.0, 0.5]))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(11)
         data = random_mode(rng, 6, 2, R=0.7)
         rr = np.linspace(0.8, 5.0, 13)
-        vals = eb.eval_profiles(data, rr)
+        vals = eb.eval_extended(data, rr)
         for i, r in enumerate(rr):
-            one = eb.eval_profiles(data, float(r))
+            one = eb.eval_extended(data, float(r))
             assert vals.u0[i] == pytest.approx(one.u0, rel=1e-15)
             assert vals.u1[i] == pytest.approx(one.u1, rel=1e-15)
             assert vals.du0_dr[i] == pytest.approx(one.du0_dr, rel=1e-15)
@@ -173,14 +171,34 @@ class TestEvalProfiles:
 
 class TestEvalExtended:
     def test_matches_exterior_outside(self):
+        # the exterior family r^-mu P(1/r), r^-mu-1 Q(1/r) and the slope of
+        # the first, evaluated in exact arithmetic at the same binary radii
         rng = np.random.default_rng(5)
         data = random_mode(rng, 3, 1, R=1.5)
+        mu, P, Q = data.spec.mu, data.position_poly(), data.velocity_poly()
         rr = np.linspace(1.6, 8.0, 9)
-        a = eb.eval_profiles(data, rr)
-        b = eb.eval_extended(data, rr)
-        np.testing.assert_allclose(b.u0, a.u0, rtol=1e-15)
-        np.testing.assert_allclose(b.u1, a.u1, rtol=1e-15)
-        np.testing.assert_allclose(b.du0_dr, a.du0_dr, rtol=1e-15)
+        got = eb.eval_extended(data, rr)
+        for i, r in enumerate(rr):
+            z = 1 / Fraction(r)
+            want = (
+                z**mu * P(z),
+                z ** (mu + 1) * Q(z),
+                z ** (mu + 1) * (-mu * P(z) - z * P.deriv()(z)),
+            )
+            for value, exact in zip((got.u0[i], got.u1[i], got.du0_dr[i]), want):
+                assert value == pytest.approx(float(exact), rel=1e-14)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_bit_for_bit_against_plain_float_oracle(self, d):
+        rng = np.random.default_rng(40 + d)
+        for nu in range(6):
+            data = random_mode(rng, d, nu)
+            R = data.R
+            r = np.concatenate(([0.0], rng.uniform(0.0, R, 6), [R], rng.uniform(R, 6.0 * R, 6)))
+            got = eb.eval_extended(data, r)
+            want = extended_profiles_reference(data, r)
+            for field in ("u0", "u1", "du0_dr"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (d, nu, field)
 
     def test_c1_match_at_radius(self):
         # Value and slope continuous across r = R: one-sided difference
@@ -279,7 +297,7 @@ class TestSeriesNorms:
         from wavechannel.polylib import gauss_nodes
 
         r, wr = halfline_rule(R, 160)
-        vals = eb.eval_profiles(data, r)
+        vals = eb.eval_extended(data, r)
         ang = gauss_nodes(80)
         ct, wt = ang.nodes, ang.weights  # cos(theta) rule on [-1, 1]
         norm_c = np.sqrt(5.0 / (16.0 * np.pi))

@@ -37,12 +37,6 @@ class TestPoly:
         assert p.is_zero
         assert p.degree == 0
 
-    def test_mixed_modes_rejected(self):
-        with pytest.raises(TypeError):
-            Poly([1, 0.5])
-        with pytest.raises(TypeError):
-            Poly([1, 2]) + Poly([0.5])
-
     def test_exact_arithmetic(self):
         p = Poly([Fraction(1, 3), 1])
         q = Poly([0, 0, 1])
@@ -53,11 +47,7 @@ class TestPoly:
         p = Poly([0, 0, 0, 1])  # z^3
         assert p.deriv().coeffs == (0, 0, 3)
         assert p.integrate(0, 2) == 4
-
-    def test_compose_affine(self):
-        p = Poly([0, 0, 1])  # x^2
-        q = p.compose_affine(Fraction(1), Fraction(2))  # (1+2x)^2
-        assert q.coeffs == (1, 4, 4)
+        assert p.integrate(0.5, 1) == Fraction(15, 64)
 
     def test_float_eval_vectorized(self):
         p = Poly([1.0, -2.0, 1.0])
@@ -90,7 +80,7 @@ def _fraction_ops(a: list[Fraction], b: list[Fraction]) -> dict:
 class TestPolyInvariants:
     @staticmethod
     def assert_normalised(p: Poly):
-        assert p.exact and p.den > 0 and math.gcd(p.den, *p.num) == 1
+        assert p.den > 0 and math.gcd(p.den, *p.num) == 1
         assert p.num[-1] != 0 or p.num == (0,)
 
     def test_one_polynomial_one_representation(self):
@@ -102,6 +92,8 @@ class TestPolyInvariants:
             (Poly([1, 2]) * Poly([Fraction(3, 7)])).scale(Fraction(7, 6)),
             Poly([half, 1, Fraction(5, 3)]) - Poly([0, 0, Fraction(10, 6)]),
             Poly([0, half, half, 0]).deriv().antideriv().deriv(),
+            Poly([0.5, np.float32(1.0)]),
+            Poly([1, 2]).scale(0.5),
         ]
         for p in ways:
             self.assert_normalised(p)
@@ -110,7 +102,8 @@ class TestPolyInvariants:
             assert p.coeffs == (half, 1)
         assert Poly([0, 0]) == Poly([Fraction(0, 5)]) == Poly([1, 1]) - Poly([1, 1])
         assert (Poly([0]).num, Poly([0]).den) == ((0,), 1)
-        assert Poly([half]) != Poly([0.5])
+        assert Poly([half]) == Poly([0.5])
+        assert Poly([0.1]).coeffs == (Fraction(0.1),) != (Fraction(1, 10),)
 
     def test_operations_keep_the_normal_form_and_the_fraction_values(self):
         rng = random.Random(99)
@@ -126,7 +119,7 @@ class TestPolyInvariants:
                 self.assert_normalised(r)
                 assert r.coeffs == want[name], name
                 assert all(type(x) is Fraction for x in r.coeffs)
-            for r in (p - q, -p, p.scale(c), c * p, p.compose_affine(c, rational() or 1)):
+            for r in (p - q, -p, p.scale(c), c * p):
                 self.assert_normalised(r)
             assert p.scale(c).coeffs == tuple(c * x for x in p.coeffs)
             x = rational()
@@ -135,14 +128,14 @@ class TestPolyInvariants:
                 v * (c ** (i + 1) - x ** (i + 1)) / (i + 1) for i, v in enumerate(p.coeffs)
             )
 
-    def test_to_float_matches_float_of_each_fraction_bit_for_bit(self):
+    def test_float_coeffs_match_float_of_each_fraction_bit_for_bit(self):
         rng = random.Random(5)
         huge = Fraction(10**400 + 1, 3**700)
         for _ in range(200):
             coeffs = [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25))
                       for _ in range(rng.randint(1, 10))] + [huge]
             p = Poly(coeffs)
-            assert [c.hex() for c in p.to_float().coeffs] == [float(c).hex() for c in p.coeffs]
+            assert [c.hex() for c in p.float_coeffs] == [float(c).hex() for c in p.coeffs]
 
 
 class TestGauss:
@@ -199,7 +192,7 @@ class TestLegendre:
         rng = np.random.default_rng(5 + n)
         x = rng.uniform(-1, 1, size=100)
         assert_allclose(
-            legendre_eval(n, x), legendre_poly_rodrigues(n).to_float()(x), atol=1e-12
+            legendre_eval(n, x), legendre_poly_rodrigues(n)(x), atol=1e-12
         )
 
     @pytest.mark.parametrize("n", range(16))
@@ -243,7 +236,7 @@ class TestModifiedLegendre:
         x = rng.uniform(-1, 1, size=100)
         assert_allclose(
             modified_legendre_eval(n, x),
-            modified_legendre_poly(n).to_float()(x),
+            modified_legendre_poly(n)(x),
             atol=1e-12,
         )
 
@@ -368,7 +361,7 @@ class TestRootIsolation:
         crit = p + Poly([0, 2]) * p.deriv()
         assert len(pl.isolate_real_roots(crit, Fraction(0), Fraction(3))) == 2
         z = np.linspace(0.0, 3.0, 200001)
-        dense = float(np.max(z * p.to_float()(z) ** 2))
+        dense = float(np.max(z * p(z) ** 2))
         lhs = float(lemma_check(P, "sup_even", 3).lhs)
         assert lhs == pytest.approx(dense, rel=1e-6)
 

@@ -22,9 +22,6 @@ KEPT = {
     "family_norm2": "closed-form family norms that criterion 01 compares with exact integrals",
     "gauss_nodes": "the Gauss-Legendre rule behind the quadrature oracles in tests/oracles.py",
     "QuadratureRule": "the rule that gauss_nodes returns",
-    "eval_profiles": "float mode profiles that the quadrature norm oracle integrates",
-    "eval_exact": "pointwise chain values, checked against finite differences and closed forms",
-    "exact_cone_energy": "exact cone energy of one chain, checked against closed forms",
 }
 
 

@@ -118,8 +118,9 @@ class TestStaticExterior:
         series = rs.cone_energy(traj, R=1.0)
         assert not series.truncated
         sol = ev.chain_lift(eb.ModeSpec(3, 0), 1, ev.POSITION)
+        desc = ev.ExteriorDescriptor(((1.0, sol),), 1.0)
         for t, e in zip(series.times, series.values):
-            exact = ev.exact_cone_energy(sol, 1.0, float(t))
+            exact = desc.exterior_energy(1.0 + abs(float(t)), float(t))
             assert e == pytest.approx(exact, rel=1e-3)
 
 

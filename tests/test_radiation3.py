@@ -217,10 +217,8 @@ class TestChannelBalance:
         cfg = snapped_config(8.0, 401, 128.0)
         fld = rs.lifted_field_from_mode(mode, cfg)
         vals = eb.eval_extended(mode, fld.r)
-        # u1 = 0, so the forward descriptor also covers the reversed run
-        report = rad.channel_identity_check(
-            fld, cfg, R=1.0, du0=vals.du0_dr, reversed_descriptor=fld.descriptor
-        )
+        # d = 3 chains are even in t: the descriptor also covers the reversed run
+        report = rad.channel_identity_check(fld, cfg, R=1.0, du0=vals.du0_dr)
         assert abs(report.rhs) <= 1e-20 * report.total
         assert report.total > 1.0
         assert abs(report.lhs) <= 1e-6 * report.total
