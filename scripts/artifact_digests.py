@@ -5,9 +5,12 @@ Runs the README's command lines (the pipeline with the README's JSON
 config), two finite-difference `evolve` variants and three modes beyond
 d = 3 through `wavechannel.cli.run` in a temporary directory, then runs the
 solver-facing scripts in this directory with their defaults and
-captures what they print.  Each artifact and each script's stdout gets
-one `sha256  name` line.  Two checkouts that print the same lines
-produce the same bytes, which is the contract a refactor must keep.
+captures what they print.  It also captures the front end's own text:
+the top-level `--help`, each `<sub> --help`, and the exit code and
+stderr of a fixed list of bad invocations.  Each artifact, each
+script's stdout and each of those texts gets one `sha256  name` line.
+Two checkouts that print the same lines produce the same bytes, which
+is the contract a refactor must keep.
 Run it in the change and in a `git archive` of its parent (with this
 file copied into that scripts/), then compare:
 
@@ -31,6 +34,7 @@ from pathlib import Path
 from wavechannel.cli import run
 
 SCRIPTS = Path(__file__).resolve().parent
+SUBCOMMANDS = ("lemmas", "basis", "evolve", "energy", "radiation", "nlw", "pipeline")
 
 README_PIPELINE = {
     "R": 1.0,
@@ -68,37 +72,70 @@ class DigestConfig:
             "channel_balance", "convergence_study", "run_pipeline", "worst_case_recursion",
         ]
     )
+    # (name, command line); each is run for its exit code, stdout and stderr
+    invocations: list[tuple[str, str]] = field(
+        default_factory=lambda: [
+            ("help", "--help"),
+            *((f"help_{sub}", f"{sub} --help") for sub in SUBCOMMANDS),
+            ("no_subcommand", ""),
+            ("unknown_subcommand", "nosuch --d 3"),
+            ("unknown_flag", "lemmas --nosuch 1"),
+            ("bad_choice", "lemmas --variant nope"),
+            ("bad_type", "basis --d three"),
+            ("out_of_range", "evolve --n-r 4"),
+            ("wrong_arity", "radiation --gaussian 1.0"),
+            ("pipeline_no_config", "pipeline"),
+            ("pipeline_extra_flag", "pipeline --config x.json --t-final 2"),
+            ("missing_config", "lemmas --config missing.json"),
+            ("refused_mode", "radiation --d 3 --nu 1"),
+        ]
+    )
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def command_artifacts(commands: list[str]) -> list[tuple[str, str]]:
-    """(digest, name) of every file the command lines write."""
+@contextlib.contextmanager
+def scratch_dir():
+    """A temporary working and output directory, and a fixed help width, for the block."""
     here = os.getcwd()
-    saved = os.environ.get("WAVECHANNEL_OUTDIR")
+    saved = {key: os.environ.get(key) for key in ("WAVECHANNEL_OUTDIR", "COLUMNS")}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        os.environ["WAVECHANNEL_OUTDIR"] = tmp
+        os.environ.update(WAVECHANNEL_OUTDIR=tmp, COLUMNS="80")
         try:
-            config = Path("pipeline_config.json")
-            config.write_text(json.dumps(README_PIPELINE, indent=2))
-            for line in commands:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    run(line.split())
-            out = [
-                (sha256(p.read_bytes()), p.name)
-                for p in sorted(Path(tmp).iterdir())
-                if p.name != config.name
-            ]
+            yield Path(tmp)
         finally:
             os.chdir(here)
-            if saved is None:
-                del os.environ["WAVECHANNEL_OUTDIR"]
-            else:
-                os.environ["WAVECHANNEL_OUTDIR"] = saved
-    return out
+            for key, value in saved.items():
+                if value is None:
+                    del os.environ[key]
+                else:
+                    os.environ[key] = value
+
+
+def command_artifacts(commands: list[str]) -> list[tuple[str, str]]:
+    """(digest, name) of every file the command lines write."""
+    with scratch_dir() as tmp:
+        config = Path("pipeline_config.json")
+        config.write_text(json.dumps(README_PIPELINE, indent=2))
+        for line in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                run(line.split())
+        return [
+            (sha256(p.read_bytes()), p.name)
+            for p in sorted(tmp.iterdir())
+            if p.name != config.name
+        ]
+
+
+def invocation_text(line: str) -> str:
+    """Exit code, stdout and stderr of one command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with scratch_dir(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(line.split())
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
 def script_stdout(name: str) -> str:
@@ -120,6 +157,8 @@ def main(argv=None) -> int:
         print(f"{digest}  {name}")
     for name in cfg.scripts:
         print(f"{sha256(script_stdout(name).encode())}  {name}.stdout")
+    for name, line in cfg.invocations:
+        print(f"{sha256(invocation_text(line).encode())}  cli_{name}.txt")
     return 0
 
 

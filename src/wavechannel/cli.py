@@ -10,7 +10,8 @@ pipeline takes only --config and --out.  Artifacts are a JSON report
 (<out>.json, also echoed to stdout) plus subcommand-specific CSV
 tables, written atomically; a run whose config file is named like one
 of its <out>.* artifacts is refused.  Relative output paths resolve against
-$WAVECHANNEL_OUTDIR when it is set.
+$WAVECHANNEL_OUTDIR when it is set.  The output directory is made with
+the first artifact, so a refused run writes nothing.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure
 (blow-up, contaminated diagnostics, violated exact inequality), the
@@ -18,8 +19,10 @@ latter with the diagnostic written to the JSON artifact.
 
 CSV columns: trajectories (t, r, u, ut); energy series (t, E_ext) or
 (t, E_total); radiation profiles (s, g); decay tables (r, value).
-Floats are printed with 17 significant digits, so identical config and
-seed reproduce artifacts byte for byte.
+Floats are printed with 17 significant digits (%.17g, the bytes of
+format(v, ".17g")), so identical config and seed reproduce artifacts
+byte for byte.  A table is formatted from its columns one row template
+per block of rows, and streamed to disk block by block.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
@@ -93,11 +97,17 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Stream the chunks into a temporary file beside `path`, then rename it over `path`.
+
+    The directory is made here, so a run refused before its first
+    artifact leaves nothing on disk.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -107,18 +117,33 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format(float(v), ".17g") for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+# rows formatted by one `%`: a table is never held as one string or as all its lines
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path: Path, header: Sequence[str], *columns: ArrayLike) -> None:
+    """The header, then one row per index of the equal-length 1-D float columns.
+
+    Each cell is `%.17g`, the bytes of format(float(v), ".17g"); no
+    columns give the header alone.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    n_rows = len(cols[0]) if cols else 0
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+
+    def chunks() -> Iterator[str]:
+        yield ",".join(header) + "\n"
+        for i in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[i : i + _CSV_BLOCK_ROWS] for c in cols])
+            yield (row * len(block)) % tuple(block.ravel().tolist())
+
+    _atomic_write(path, chunks())
 
 
 def _resolve_base(out: str) -> Path:
     p = Path(out)
     if not p.is_absolute():
         p = Path(os.environ.get("WAVECHANNEL_OUTDIR", ".")) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
     return p
 
 
@@ -202,12 +227,17 @@ def _add_schema_flags(p: argparse.ArgumentParser, schema: dict) -> None:
         p.add_argument("--" + key.replace("_", "-"), **kw)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """All seven subcommands with their help, and flags only for the one argv names
+    (the first argument naming one, since no top-level option takes a value)."""
+    chosen = next((a for a in argv if a in _HANDLERS), None)
     parser = _Parser(prog="wavechannel", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand")
     for name in _HANDLERS:
         schema = _schema(name)
         p = sub.add_parser(name, help=schema["description"])
+        if name != chosen:
+            continue
         if name == "pipeline":
             p.add_argument("--config", required=True, help="JSON config file (required)")
             p.add_argument("--out", help=schema["properties"]["out"]["description"])
@@ -352,31 +382,26 @@ def _run_evolve(cfg: dict, base: Path) -> dict:
         desc = ev.descriptor_for_mode(mode)
         r = np.linspace(0.0, cfg["r_max"], cfg["n_r"])
         times = np.linspace(0.0, cfg["t_final"], cfg["frames"])
-        rows: list[tuple[float, float, float, float]] = []
+        frames = [np.empty(0)] * 4  # t, r, u, ut pieces: one empty set, then one per covered frame
         for t in times:
             cov = desc.covers(r, float(t))
             if np.any(cov):
                 vals = desc.eval(r[cov], float(t))
-                rows.extend(
-                    (float(t), float(ri), float(ui), float(uti))
-                    for ri, ui, uti in zip(r[cov], vals.u, vals.ut)
-                )
-        _write_csv(csv_path, ("t", "r", "u", "ut"), rows)
+                frames += (np.full(np.count_nonzero(cov), t), r[cov], vals.u, vals.ut)
+        columns = [np.concatenate(frames[k::4]) for k in range(4)]
+        _write_csv(csv_path, ("t", "r", "u", "ut"), *columns)
         return {
             "exact": True,
             "chains": _chain_terms(desc),
-            "rows": len(rows),
+            "rows": len(columns[0]),
             "csv": csv_path.name,
         }
     config = _solver_config(cfg)
     fld = _field_from_cfg(cfg, config)
     traj = rs.solve_mode_linear(fld, config)
-    rows = [
-        (float(t), float(ri), float(ui), float(uti))
-        for t, u, ut in zip(traj.times, traj.u, traj.ut)
-        for ri, ui, uti in zip(traj.r, u, ut)
-    ]
-    _write_csv(csv_path, ("t", "r", "u", "ut"), rows)
+    n_snap, n_r = traj.u.shape
+    columns = (np.repeat(traj.times, n_r), np.tile(traj.r, n_snap), traj.u.ravel(), traj.ut.ravel())
+    _write_csv(csv_path, ("t", "r", "u", "ut"), *columns)
     report = {
         "exact": False,
         "lifted_dim": fld.lifted_dim,
@@ -393,7 +418,7 @@ def _run_evolve(cfg: dict, base: Path) -> dict:
 def _refuse_blow_up(traj: rs.Trajectory, csv_path: Path, header: Sequence[str]) -> None:
     """Exit 2 on a run that blew up, leaving an empty table rather than a stale one."""
     if traj.blown_up:
-        _write_csv(csv_path, header, [])
+        _write_csv(csv_path, header)
         raise NumericalFailure(
             {
                 "reason": f"the run blew up after t={float(traj.times[-1]):g}",
@@ -409,7 +434,7 @@ def _run_energy(cfg: dict, base: Path) -> dict:
     csv_path = _with_ext(base, ".csv")
     _refuse_blow_up(traj, csv_path, ("t", "E_ext"))
     series = _numerical_guard(lambda: rs.cone_energy(traj, cfg["cone_radius"]))
-    _write_csv(csv_path, ("t", "E_ext"), zip(series.times, series.values))
+    _write_csv(csv_path, ("t", "E_ext"), series.times, series.values)
     return {
         "cone_radius": cfg["cone_radius"],
         "initial": float(series.values[0]),
@@ -439,7 +464,7 @@ def _run_radiation(cfg: dict, base: Path) -> dict:
         except ValueError:
             isometry = None  # radiation-free data has no ratio
     csv_path = _with_ext(base, ".csv")
-    _write_csv(csv_path, ("s", "g"), zip(profile.s, profile.g))
+    _write_csv(csv_path, ("s", "g"), profile.s, profile.g)
     radii = cfg["tail_radii"] if cfg["tail_radii"] is not None else [1.0, 2.0, 4.0, 8.0]
     return {
         "charge": profile.mean(),
@@ -459,7 +484,7 @@ def _run_nlw(cfg: dict, base: Path) -> dict:
     csv_path = _with_ext(base, ".csv")
     _refuse_blow_up(traj, csv_path, ("t", "E_total"))
     series = rs.energy_series(traj)
-    _write_csv(csv_path, ("t", "E_total"), zip(traj.times, series))
+    _write_csv(csv_path, ("t", "E_total"), traj.times, series)
     drift = float((np.max(series) - np.min(series)) / abs(series[0])) if series[0] != 0 else 0.0
     report: dict[str, Any] = {
         "nonlinearity": cfg["nonlinearity"],
@@ -506,7 +531,7 @@ def _run_pipeline(cfg: dict, base: Path) -> dict:
     }
     for name, (table, ext) in tables.items():
         csv_path = _with_ext(base, ext)
-        _write_csv(csv_path, ("r", "value"), zip(table.r, table.values))
+        _write_csv(csv_path, ("r", "value"), table.r, table.values)
         out[name] = {
             "exponent": table.exponent,
             "residual": table.residual,
@@ -534,12 +559,12 @@ _HANDLERS: dict[str, Callable[[dict, Path], dict]] = {
 def _emit(sub: str, cfg: dict, body: dict, base: Path, key: str) -> str:
     doc = {"subcommand": sub, "version": _VERSION, "config": cfg, key: body}
     text = _dump_json(doc)
-    _atomic_write(_with_ext(base, ".json"), text)
+    _atomic_write(_with_ext(base, ".json"), (text,))
     return text
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(list(argv))
     except UsageError as e:

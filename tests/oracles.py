@@ -15,7 +15,11 @@ written plainly: once in the solver's own rounding order, once in the
 centred-stencil order.  The chain references apply the wave operator
 and collect the cone energy in plain `Fraction` sums, and the envelope
 reference builds the extremal S one row at a time with a boolean mask,
-for bit-for-bit comparison with the integer and block forms.
+for bit-for-bit comparison with the integer and block forms.  The
+command-line references are the CSV table written cell by cell with
+format(v, ".17g"), and the parser with all seven subcommands' flags
+built, for byte-for-byte comparison with the block writer and the
+parser that builds only the chosen subcommand's flags.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
+from wavechannel import cli
 from wavechannel import exterior_basis as eb
 from wavechannel.polylib import Poly, gauss_nodes
 
@@ -466,3 +472,27 @@ def worst_case_S_reference(params, R: float, r_max: float, grid_ratio: float = 1
             best = min(best, seed_value)
         S[i] = best
     return S, interpolated
+
+
+def write_csv_reference(path: Path, header, rows) -> None:
+    """The CLI's CSV table, one format(float(v), ".17g") per cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def build_parser_reference() -> cli._Parser:
+    """The CLI's parser with every subcommand's flags built, whatever the command line."""
+    parser = cli._Parser(prog="wavechannel", description=cli.__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="subcommand")
+    for name in cli._HANDLERS:
+        schema = cli._schema(name)
+        p = sub.add_parser(name, help=schema["description"])
+        if name == "pipeline":
+            p.add_argument("--config", required=True, help="JSON config file (required)")
+            p.add_argument("--out", help=schema["properties"]["out"]["description"])
+        else:
+            cli._add_schema_flags(p, schema)
+            p.add_argument("--config", help="JSON config file, schema-validated")
+    return parser

@@ -11,6 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import oracles
 from wavechannel import radial_solver as rs
 from wavechannel import radiation3 as rad
 from wavechannel import cli
@@ -505,3 +506,75 @@ class TestOutput:
         a = (outdir / "a.json").read_text().replace('"a"', '"x"')
         b = (outdir / "b.json").read_text().replace('"b"', '"x"')
         assert a == b
+
+
+def _csv_columns(n_rows: int) -> list[np.ndarray]:
+    """Four seeded columns of n_rows floats spanning 1e-300 ... 1e300, both signs."""
+    rng = np.random.default_rng(7)
+    signs = rng.choice([-1.0, 1.0], size=(4, n_rows))
+    return list(signs * 10.0 ** rng.uniform(-300, 300, size=(4, n_rows)))
+
+
+CSV_TABLES = {
+    "signed_zeros": [[0.0, -0.0], [-0.0, 0.0]],
+    "subnormal": [[5e-324, -5e-324], [np.nextafter(0.0, 1.0), 2.2250738585072014e-308]],
+    "extremes": [[1e300, -1e300, 1e-300], [-1e-300, 1.7976931348623157e308, 0.1]],
+    "nonfinite": [[np.nan, np.inf, -np.inf], [-np.inf, np.nan, 1.0]],
+    "integer_valued": [[1.0, -3.0, 1e16, 2.0**53], [0.0, 12345678.0, -1e22, 7]],
+    "empty": [[], []],
+    "one_row": [[0.8], [1 / 3]],
+    "three_blocks_and_one_row": _csv_columns(3 * cli._CSV_BLOCK_ROWS + 1),
+}
+
+# exit code, stdout and stderr must match the parser with every subcommand's flags
+PARSER_CASES = [
+    ["--help"],
+    *([sub, "--help"] for sub in SUBCOMMANDS),
+    [],
+    ["nosuch", "--d", "3"],
+    ["lemmas", "--variant", "nope"],
+    ["evolve", "--n-r", "4"],
+    ["pipeline"],
+]
+
+
+class TestFrontEnd:
+    """CSV bytes and parser text against their full forms in tests/oracles.py."""
+
+    @pytest.mark.parametrize("case", sorted(CSV_TABLES))
+    def test_csv_matches_the_cell_by_cell_writer(self, outdir, case):
+        columns = CSV_TABLES[case]
+        header = ("a", "b", "c", "d")[: len(columns)]
+        cli._write_csv(outdir / "new.csv", header, *columns)
+        oracles.write_csv_reference(outdir / "old.csv", header, zip(*columns))
+        assert (outdir / "new.csv").read_bytes() == (outdir / "old.csv").read_bytes()
+
+    def test_header_only_table(self, outdir):
+        cli._write_csv(outdir / "new.csv", ("t", "E_ext"))
+        assert (outdir / "new.csv").read_text() == "t,E_ext\n"
+
+    def test_csv_is_streamed_one_block_at_a_time(self, outdir, monkeypatch):
+        written = []
+        monkeypatch.setattr(cli, "_atomic_write", lambda path, chunks: written.extend(chunks))
+        cli._write_csv(outdir / "x.csv", ("t", "r", "u", "ut"), *CSV_TABLES["three_blocks_and_one_row"])
+        rows_per_chunk = [chunk.count("\n") for chunk in written]
+        assert rows_per_chunk == [1] + [cli._CSV_BLOCK_ROWS] * 3 + [1]
+
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda a: " ".join(a) or "empty")
+    def test_run_matches_the_full_parser(self, argv, capsys, monkeypatch):
+        got = run(argv), *capsys.readouterr()
+        monkeypatch.setattr(cli, "_build_parser", lambda _: oracles.build_parser_reference())
+        want = run(argv), *capsys.readouterr()
+        assert got == want
+
+    def test_refused_mode_makes_no_directory(self, outdir):
+        assert run("radiation --d 3 --nu 1 --out made/by/refused/run".split()) == 1
+        assert list(outdir.iterdir()) == []
+
+    def test_refused_config_makes_no_directory(self, outdir, capsys):
+        # fresh/.. resolves to outdir, so the lemmas artifacts would replace run.json
+        cfg = outdir / "run.json"
+        cfg.write_text(json.dumps({"trials": 5}))
+        assert run(["lemmas", "--config", str(cfg), "--out", "fresh/../run"]) == 1
+        assert "overwritten" in capsys.readouterr().err
+        assert sorted(p.name for p in outdir.iterdir()) == ["run.json"]
