@@ -6,14 +6,23 @@ Two equations are covered on a uniform radial grid:
     radial quintic: u_tt = u_rr + (2/r) u_r + F(u),  d = 3, |F(u)| <= C|u|^5
 
 The scheme is leapfrog in time with centered second-order space, folded
-into three diagonals built once per run: the centred interior rows, the
-even-parity origin row (the operator's limit D * u_rr at r = 0) and the
-ghost row, so a step is a few array passes.  Grids start at r = 0.  The
-outer edge is closed either by exact ghost values from an
-ExteriorDescriptor (basis data evolves in closed form, so the boundary
-is not an approximation at all) or by quadratic extrapolation, in which
-case the numerical domain of dependence shrinks by exactly one cell per
-step and every diagnostic accounts for that contaminated band.
+into three diagonals built once per run: the centred interior rows and
+the even-parity origin row (the operator's limit D * u_rr at r = 0).
+Each time level carries one extra slot, at index n_r, that holds the
+ghost value at r_max + dr, so the last row is an ordinary row whose
+upper weight reads that slot and a step is a few array passes.  Grids
+start at r = 0.  The outer edge is closed either by exact ghost values
+from an ExteriorDescriptor (basis data evolves in closed form, so the
+boundary is not an approximation at all) or by quadratic extrapolation,
+in which case the numerical domain of dependence shrinks by exactly one
+cell per step and every diagnostic accounts for that contaminated band.
+
+With extrapolated ghosts a step updates only a leading window of rows.
+Rows past the support of the first two time levels hold +0 and a row
+whose stencil reads only +0 steps to +0, so the window follows the
+numerical domain of dependence outward (64 rows every 64 steps) and
+covers the grid once it nears the edge.  It changes no bit of any
+snapshot; descriptor runs step every row from the start.
 
 Initial data is a RadialGridField.  A run writes its stored steps into
 one (n_snap, n_r) stack each of u and u_t, held by a Trajectory, and the
@@ -39,6 +48,7 @@ from .exterior_basis import ExteriorModeData, ModeSpec, build_exterior_mode, eva
 NONLINEARITIES = ("none", "defocusing_quintic", "focusing_quintic")
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_BLOCK = 64  # steps between window updates, and the rows the window grows by each time
 
 
 class NumericalError(ValueError):
@@ -82,6 +92,8 @@ class SolverConfig:
             )
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
+        if not self.blowup_threshold >= 0:
+            raise ValueError(f"blowup_threshold must be >= 0 or inf, got {self.blowup_threshold}")
 
     @property
     def dr(self) -> float:
@@ -266,27 +278,25 @@ def _sixth_power(u: np.ndarray) -> np.ndarray:
     return u2 * u2 * u2
 
 
-def _leapfrog_weights(
-    r: np.ndarray, dr: float, dt: float, D: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The three diagonals of one leapfrog step, and the ghost's weight.
+def _leapfrog_weights(r: np.ndarray, dr: float, dt: float, D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three diagonals of one leapfrog step.
 
-    A linear step is u_next = di u + lo u_(j-1) + up u_(j+1) + w_g g - u_prev,
-    which is 2 u - u_prev + dt^2 (u_rr + ((D-1)/r) u_r) on the centred
+    A linear step is u_next = di u + lo u_(j-1) + up u_(j+1) - u_prev, which
+    is 2 u - u_prev + dt^2 (u_rr + ((D-1)/r) u_r) on the centred
     second-order stencil: lo[j-1] is row j's weight on u[j-1] and up[j]
     its weight on u[j+1].  Row 0 is the even-parity limit of the operator
-    at r = 0, D u_rr = 2 D (u_1 - u_0) / dr^2, and the last row reads the
-    ghost value g at r[-1] + dr.
+    at r = 0, D u_rr = 2 D (u_1 - u_0) / dr^2, and the last row's u[j+1]
+    is the ghost value at r[-1] + dr, held in slot n_r of each time level.
     """
     a = dt**2 / dr**2
     c = (0.5 * (D - 1) * dt**2 / dr) / r[1:]  # the u_r weight of rows 1 .. n-1
     di = np.full(r.size, 2.0 - 2.0 * a)
     di[0] = 2.0 - 2.0 * D * a
     lo = a - c
-    up = np.empty(r.size - 1)
+    up = np.empty(r.size)
     up[0] = 2.0 * D * a
-    up[1:] = a + c[:-1]
-    return di, lo, up, float(a + c[-1])
+    up[1:] = a + c
+    return di, lo, up
 
 
 def _health_test(threshold: float) -> Callable[[np.ndarray], bool]:
@@ -327,50 +337,83 @@ def _solve(initial: RadialGridField, config: SolverConfig) -> Trajectory:
             f"the origin closure requires cfl <= sqrt(2/D) = {math.sqrt(2.0 / D):.4f}"
         )
     stride, n_steps = config.stride, config.n_steps
+    n_r = r.size
     # fixed for the run: the ghost, the diagonals, the factor of u^5 in dt^2 F(u), a buffer
     boundary = desc.boundary(r[-1] + dr) if desc is not None else None
-    di, lo, up, w_g = _leapfrog_weights(r, dr, dt, D)
+    di, lo, up = _leapfrog_weights(r, dr, dt, D)
     quintic = {"none": 0.0, "defocusing_quintic": -(dt**2), "focusing_quintic": dt**2}[
         config.nonlinearity
     ]
-    scratch = np.empty_like(r)
+    scratch = np.empty(n_r)
 
-    def advance(u: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-        """2 u + dt^2 (u_rr + ((D-1)/r) u_r + F(u)) into out."""
-        g = boundary(t) if boundary is not None else 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
-        np.multiply(di, u, out=out)
-        out[1:] += np.multiply(lo, u[:-1], out=scratch[1:])
-        out[:-1] += np.multiply(up, u[1:], out=scratch[:-1])
-        out[-1] += w_g * g
+    def window(w: int, *levels: np.ndarray) -> tuple:
+        """Views for stepping rows [0, w): the weights and scratch, then for
+        each time level the whole buffer, its rows, the rows below and above
+        them (through the ghost slot when w = n_r), and its rows from 1 on."""
+        weights = (di[:w], lo[: w - 1], up[:w], scratch[:w], scratch[1:w])
+        return (weights, *((u, u[:w], u[: w - 1], u[1 : w + 1], u[1:w]) for u in levels))
+
+    def advance(weights: tuple, u: tuple, out: tuple, t: float) -> np.ndarray:
+        """2 u + dt^2 (u_rr + ((D-1)/r) u_r + F(u)) into out's rows of the window."""
+        di_w, lo_w, up_w, s, s_tail = weights
+        level, rows, below, above, _ = u
+        _, out_rows, _, _, out_tail = out
+        if boundary is not None:
+            level[n_r] = boundary(t)
+        else:
+            level[n_r] = 3.0 * level[n_r - 1] - 3.0 * level[n_r - 2] + level[n_r - 3]
+        np.multiply(di_w, rows, out=out_rows)
+        out_tail += np.multiply(lo_w, below, out=s_tail)
+        out_rows += np.multiply(up_w, above, out=s)
         if quintic:
-            out += np.multiply(_fifth_power(u, scratch), quintic, out=scratch)
-        return out
+            out_rows += np.multiply(_fifth_power(rows, s), quintic, out=s)
+        return out_rows
 
     healthy = _health_test(config.blowup_threshold)
-    u_rows = np.empty((n_steps // stride + 1, r.size))
-    ut_rows = np.empty_like(u_rows)
+    u_rows = np.zeros((n_steps // stride + 1, n_r))
+    ut_rows = np.zeros_like(u_rows)
     u_rows[0], ut_rows[0] = initial.u, initial.ut
     k = 1  # rows written
 
-    # u_1 = u_0 + dt u_t + (dt^2 / 2)(u_rr + ((D-1)/r) u_r + F)(u_0)
-    u_prev = initial.u.copy()
-    u_curr = advance(u_prev, 0.0, np.empty_like(r))
-    u_curr *= 0.5
-    u_curr += dt * initial.ut
-    u_next = np.empty_like(r)
-    blown_up = not healthy(u_curr)
+    # three rotating time levels, each with its ghost slot at index n_r;
+    # u_1 = u_0 + dt u_t + (dt^2 / 2)(u_rr + ((D-1)/r) u_r + F)(u_0) on every row
+    w = n_r
+    weights, prev, curr, nxt = window(w, *(np.zeros(n_r + 1) for _ in range(3)))
+    prev[1][:] = initial.u
+    first = advance(weights, prev, curr, 0.0)
+    first *= 0.5
+    first += dt * initial.ut
+    blown_up = not healthy(first)
+
+    # The numerical domain of dependence.  A row is +0 exactly when no bit
+    # of it is set; from row `support` on, u_0 and u_1 are +0.  A row whose
+    # stencil inputs are all +0 steps to di (+0) + lo 0 + up 0 (+ dt^2 F(+0))
+    # - (+0) = +0 (di = 2 - 2 cfl^2 > 0 on rows j >= 1), so at step n every row from
+    # support + n on is still +0, which is what the full-width run writes
+    # there.  With extrapolated ghosts the stepper therefore updates only a
+    # window of rows that grows by _BLOCK rows every _BLOCK steps, and covers
+    # the grid once it comes within three rows of the edge (the ghost reads
+    # the last three); descriptor ghosts feed the last row from the start.
+    set_bits = np.flatnonzero(prev[1].view(np.uint64) | curr[1].view(np.uint64))
+    support = int(set_bits[-1]) + 1 if set_bits.size else 0
     n = 1
     while n <= n_steps and not blown_up:
-        advance(u_curr, n * dt, u_next)
-        u_next -= u_prev
-        if not healthy(u_next):
+        if (n - 1) % _BLOCK == 0:
+            w = support + n + _BLOCK
+            if boundary is not None or w + 3 > n_r:
+                w = n_r
+            weights, prev, curr, nxt = window(w, prev[0], curr[0], nxt[0])
+        rows = advance(weights, curr, nxt, n * dt)
+        rows -= prev[1]
+        if not healthy(rows):
             blown_up = True
             break
         if n % stride == 0:
-            u_rows[k] = u_curr
-            np.divide(np.subtract(u_next, u_prev, out=ut_rows[k]), 2 * dt, out=ut_rows[k])
+            u_rows[k, :w] = curr[1]
+            ut = ut_rows[k, :w]
+            np.divide(np.subtract(rows, prev[1], out=ut), 2 * dt, out=ut)
             k += 1
-        u_prev, u_curr, u_next = u_curr, u_next, u_prev
+        prev, curr, nxt = curr, nxt, prev
         n += 1
 
     return Trajectory(

@@ -11,8 +11,8 @@ the radial exponent span from the power-law count.  The Sturm references
 are the library's root isolation written plainly, in ``Fraction`` long
 division and ``np.polyval`` bisection, for bit-for-bit comparison with
 its integer form.  The leapfrog references are the radial stepper
-written plainly: once in the solver's own rounding order, once in the
-centred-stencil order.  The chain references apply the wave operator
+written plainly: once in the solver's own rounding order but on every
+row at every step, once in the centred-stencil order.  The chain references apply the wave operator
 and collect the cone energy in plain `Fraction` sums, and the envelope
 reference builds the extremal S one row at a time with a boolean mask,
 for bit-for-bit comparison with the integer and block forms.  The
@@ -164,21 +164,25 @@ def radial_span(d: int) -> RadialSpan:
 
 
 def folded_leapfrog(initial, config) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """The linear leapfrog stepper on its three diagonals, as a bit-for-bit reference.
+    """The leapfrog stepper on its three diagonals, as a bit-for-bit reference.
 
     The same float operations in the same order as `radial_solver._solve`
-    on a grid from r = 0, but with the weights formed inline and fresh
-    arrays every step, and the descriptor ghost from
-    `ExteriorDescriptor.eval` at every step.  Returns stored times, u and
-    u_t rows, and blown_up.
+    on a grid from r = 0, but on every row at every step, with the
+    weights formed inline and fresh arrays every step, and the descriptor
+    ghost from `ExteriorDescriptor.eval` at every step.  The quintic term
+    is dt^2 F(u) = +-dt^2 u (u^2)^2, as `_fifth_power` forms u^5.
+    Returns stored times, u and u_t rows, and blown_up.
     """
     r = config.radial_grid()
     D, desc = initial.lifted_dim, initial.descriptor
     dr, dt = config.dr, config.dt
-    assert r[0] == 0.0 and config.nonlinearity == "none"
+    assert r[0] == 0.0
+    quintic = {"none": 0.0, "defocusing_quintic": -(dt**2), "focusing_quintic": dt**2}[
+        config.nonlinearity
+    ]
 
     def advance(u, t):
-        # 2 u + dt^2 (u_rr + ((D-1)/r) u_r): interior, parity origin and ghost rows
+        # 2 u + dt^2 (u_rr + ((D-1)/r) u_r + F(u)): interior, parity origin and ghost rows
         a = dt**2 / dr**2
         c = (0.5 * (D - 1) * dt**2 / dr) / r[1:]
         di = np.concatenate([[2.0 - 2.0 * D * a], np.full(r.size - 1, 2.0 - 2.0 * a)])
@@ -192,6 +196,9 @@ def folded_leapfrog(initial, config) -> tuple[np.ndarray, np.ndarray, np.ndarray
         out[1:] = out[1:] + lo * u[:-1]
         out[:-1] = out[:-1] + up * u[1:]
         out[-1] = out[-1] + (a + c[-1]) * g
+        if quintic:
+            u2 = u * u
+            out = out + (u2 * u2 * u) * quintic
         return out
 
     def healthy(u):

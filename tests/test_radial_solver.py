@@ -38,6 +38,11 @@ class TestConfig:
             rs.SolverConfig(r_max=10.0, n_r=100, t_final=1.0, nonlinearity="custom")
         with pytest.raises(ValueError):
             rs.SolverConfig(r_max=10.0, n_r=100, t_final=-1.0)
+        # a NaN or negative threshold would flag every run as blown up at its first step
+        for threshold in (math.nan, -1.0, -math.inf):
+            with pytest.raises(ValueError, match="blowup_threshold"):
+                rs.SolverConfig(r_max=10.0, n_r=100, t_final=1.0, blowup_threshold=threshold)
+        rs.SolverConfig(r_max=10.0, n_r=100, t_final=1.0, blowup_threshold=math.inf)
 
     def test_grid_derivations(self):
         cfg = rs.SolverConfig(r_max=10.0, n_r=101, t_final=1.0, cfl=0.5)
@@ -224,17 +229,41 @@ def radiating_run():
     return rs.RadialGridField(r=r, u=u0, ut=u1, lifted_dim=3), cfg
 
 
+def rows_bump(config, m, lifted_dim=3, velocity_only=False):
+    """Data whose rows [0, m) are nonzero; from row m on u is +0 and u_t = -u/4 is -0.
+
+    With velocity_only, u is +0 everywhere and u_t carries the bump.
+    """
+    r = config.radial_grid()
+    j = np.arange(r.size)
+    u = np.where(j < m, 0.5 * (1.0 - (j / max(m, 1)) ** 2) ** 4 + 1e-3, 0.0)
+    if velocity_only:
+        return rs.RadialGridField(r=r, u=np.zeros_like(r), ut=u, lifted_dim=lifted_dim)
+    return rs.RadialGridField(r=r, u=u, ut=-0.25 * u, lifted_dim=lifted_dim)
+
+
+def same_bits(a, b):
+    # array_equal alone takes -0.0 for +0.0
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestReferenceStepper:
-    """The solver's snapshots equal a plain leapfrog that calls eval every step."""
+    """The solver's snapshots equal a plain leapfrog that steps every row and calls eval every step.
+
+    With extrapolated ghosts the solver steps only a window of rows that
+    follows the numerical domain of dependence; these runs pin that it
+    changes no bit, signs of zeros included.
+    """
 
     @staticmethod
-    def assert_same_run(fld, cfg):
-        traj = rs.solve_mode_linear(fld, cfg)
-        times, u, ut, blown_up = folded_leapfrog(fld, cfg)
-        assert traj.blown_up == blown_up is False
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.u, u)
-        assert np.array_equal(traj.ut, ut)
+    def assert_same_run(fld, cfg, blown_up=False):
+        solve = rs.solve_mode_linear if cfg.nonlinearity == "none" else rs.solve_quintic
+        traj = solve(fld, cfg)
+        times, u, ut, ref_blown_up = folded_leapfrog(fld, cfg)
+        assert traj.blown_up == ref_blown_up is blown_up
+        assert same_bits(traj.times, times)
+        assert same_bits(traj.u, u)
+        assert same_bits(traj.ut, ut)
 
     @pytest.mark.parametrize("d,nu,A,B", DESCRIPTOR_CASES)
     def test_descriptor_ghost_bit_for_bit(self, d, nu, A, B):
@@ -242,6 +271,63 @@ class TestReferenceStepper:
 
     def test_extrapolated_ghost_bit_for_bit(self):
         self.assert_same_run(*extrapolated_run())
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_radiating_data(self, sign):
+        fld, cfg = radiating_run()
+        fld = rs.RadialGridField(r=fld.r, u=fld.u, ut=sign * fld.ut, lifted_dim=3)
+        tail = fld.r > 13.0  # past the support of inverse_map's data
+        assert np.all(fld.u[tail] == 0.0) and np.all(fld.ut[tail] == 0.0)
+        # the time-reversed velocity's tail is -0.0
+        assert np.all(np.signbit(fld.ut[tail]) == (sign < 0))
+        self.assert_same_run(fld, cfg)
+
+    @pytest.mark.parametrize("ut_zero", [0.0, -0.0])
+    def test_all_zero_data(self, ut_zero):
+        cfg = rs.SolverConfig(r_max=20.0, n_r=201, t_final=12.0, store_every=1)
+        r = cfg.radial_grid()
+        fld = rs.RadialGridField(r=r, u=np.zeros_like(r), ut=np.full_like(r, ut_zero), lifted_dim=3)
+        self.assert_same_run(fld, cfg)
+
+    # Rows [0, m) carry data and the first step reaches row m, so on
+    # n_r = 201 nodes the window covers the grid from the first step once
+    # m >= 133.  For m = 68, 69, 70 and 100 the front comes within three
+    # rows of the edge at offsets 0, 63, 62 and 32 of a 64-step block; for
+    # m = 7, 71 and 135 a window two rows narrower would end a block one
+    # row short of the edge while the ghost reads the front.
+    @pytest.mark.parametrize(
+        "m", [1, 2, 7, 68, 69, 70, 71, 100, 131, 132, 133, 134, 135, 199, 200, 201]
+    )
+    @pytest.mark.parametrize("lifted_dim,velocity_only", [(3, False), (5, False), (3, True)])
+    def test_window_reaching_the_edge(self, m, lifted_dim, velocity_only):
+        cfg = rs.SolverConfig(r_max=20.0, n_r=201, t_final=12.0, store_every=1)
+        self.assert_same_run(rows_bump(cfg, m, lifted_dim, velocity_only), cfg)
+
+    def test_lifted_blow_up(self):
+        # D = 7 is unstable next to the origin (ROADMAP item 1): the run
+        # stops while the window is still far from the edge
+        cfg = rs.SolverConfig(r_max=16.0, n_r=801, t_final=30.0, store_every=4)
+        fld = compact_bump(cfg, amplitude=0.5, support=4.0, lifted_dim=7)
+        self.assert_same_run(fld, cfg, blown_up=True)
+
+    @pytest.mark.parametrize("nonlinearity", ["defocusing_quintic", "focusing_quintic"])
+    def test_quintic_compact_gaussian(self, nonlinearity):
+        # exp(-(r/1.5)^2) underflows to +0 past r = 41, so the window applies
+        cfg = rs.SolverConfig(
+            r_max=80.0, n_r=801, t_final=6.0, store_every=10, nonlinearity=nonlinearity
+        )
+        fld = rs.gaussian_bump(cfg, 0.5, 1.5)
+        assert fld.u[-1] == 0.0 and not np.signbit(fld.u[-1])
+        self.assert_same_run(fld, cfg)
+
+    def test_quintic_readme_gaussian(self):
+        # `wavechannel nlw --gaussian 0.5 1.5 --r-max 32`: nonzero on every row, full width
+        cfg = rs.SolverConfig(
+            r_max=32.0, n_r=801, t_final=4.0, store_every=50, nonlinearity="defocusing_quintic"
+        )
+        fld = rs.gaussian_bump(cfg, 0.5, 1.5)
+        assert np.all(fld.u != 0.0)
+        self.assert_same_run(fld, cfg)
 
 
 class TestCentredStencil:
