@@ -262,6 +262,13 @@ def _effective_config(sub: str, args: argparse.Namespace) -> dict:
     if error is not None:
         where = "/".join(str(part) for part in error.absolute_path) or "config"
         raise UsageError(f"invalid configuration at {where}: {error.message}")
+    # flags parse "inf" and "nan", and JSON configs may spell them, but no schema bound refuses NaN
+    for key, value in payload.items():
+        items = value if isinstance(value, list) else [value]
+        for i, v in enumerate(items):
+            if isinstance(v, float) and not math.isfinite(v):
+                where = f"{key}/{i}" if isinstance(value, list) else key
+                raise UsageError(f"invalid configuration at {where}: {v!r} is not a finite number")
     return cfg
 
 

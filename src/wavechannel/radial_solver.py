@@ -21,12 +21,18 @@ With extrapolated ghosts a step updates only a leading window of rows.
 Rows past the support of the first two time levels hold +0 and a row
 whose stencil reads only +0 steps to +0, so the window follows the
 numerical domain of dependence outward (64 rows every 64 steps) and
-covers the grid once it nears the edge.  It changes no bit of any
-snapshot; descriptor runs step every row from the start.
+covers the grid once it nears the edge; the ghost is formed only from
+then on.  It changes no bit of any snapshot; descriptor runs step every
+row from the start.
 
 Initial data is a RadialGridField.  A run writes its stored steps into
 one (n_snap, n_r) stack each of u and u_t, held by a Trajectory, and the
-diagnostics read the whole stack.
+diagnostics read the whole stack.  Fields that share a grid, lifted
+dimension and descriptor can be stepped as one run (a TrajectoryBatch):
+the runs are interleaved row by row, so a step costs the per-call
+overhead of one run, and each run's snapshots are bit for bit those of
+a run of its own.  The channel identity steps its forward and
+time-reversed runs this way.
 
 Cone-energy diagnostics follow the lifted single-mode convention
 int (u_t^2 + u_r^2) r^(D-1) dr without a sphere-area factor; the
@@ -37,6 +43,7 @@ physical-space integral and carries the 4 pi.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -78,6 +85,14 @@ class SolverConfig:
     blowup_threshold: float = 1e8
 
     def __post_init__(self) -> None:
+        for name in ("r_max", "t_final", "cfl"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("n_r", "store_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.r_max > 0:
             raise ValueError("need r_max > 0")
         if self.n_r < 8:
@@ -215,6 +230,15 @@ class Trajectory:
         return self.config.r_max - abs(t) / self.config.cfl - 2 * self.dr
 
 
+class TrajectoryBatch(tuple):
+    """The trajectories of fields stepped as one run, in the order of the fields."""
+
+    @property
+    def times(self) -> np.ndarray:
+        """The batch's stored times; the times of each of its runs are a prefix of them."""
+        return max((traj.times for traj in self), key=len)
+
+
 # ---------------------------------------------------------------------------
 # initial data builders
 
@@ -324,12 +348,24 @@ def _health_test(threshold: float) -> Callable[[np.ndarray], bool]:
     return healthy
 
 
-def _solve(initial: RadialGridField, config: SolverConfig) -> Trajectory:
+def _solve(fields: Sequence[RadialGridField], config: SolverConfig) -> list[Trajectory]:
+    """Evolve fields that share a grid, lifted dimension and descriptor as one run.
+
+    Returns one Trajectory per field, each bit for bit the one a run of
+    that field alone gives.  The fields are interleaved row by row in
+    each time level, so a step is the same few array passes over all of
+    them; a run the blow-up threshold stops ends at its own step while
+    the others go on.
+    """
+    if not fields:
+        raise ValueError("a batch needs at least one field")
     r = config.radial_grid()
-    if initial.r.shape != r.shape or not np.allclose(initial.r, r, rtol=1e-12):
-        raise ValueError("initial data grid does not match the solver configuration")
-    D = initial.lifted_dim
-    desc = initial.descriptor
+    D, desc = fields[0].lifted_dim, fields[0].descriptor
+    for fld in fields:
+        if fld.r.shape != r.shape or not np.allclose(fld.r, r, rtol=1e-12):
+            raise ValueError("initial data grid does not match the solver configuration")
+        if fld.lifted_dim != D or fld.descriptor is not desc:
+            raise ValueError("the fields of a batch share their lifted dimension and descriptor")
     dr, dt = config.dr, config.dt
     if dt > dr * math.sqrt(2.0 / D) * (1 + 1e-12):
         raise ValueError(
@@ -337,31 +373,44 @@ def _solve(initial: RadialGridField, config: SolverConfig) -> Trajectory:
             f"the origin closure requires cfl <= sqrt(2/D) = {math.sqrt(2.0 / D):.4f}"
         )
     stride, n_steps = config.stride, config.n_steps
-    n_r = r.size
+    n_r, m = r.size, len(fields)
+    # Row j of run i sits at j m + i in each time level, and slot n_r m + i
+    # holds run i's ghost value, so the diagonals are repeated m times and
+    # every element is formed in the same order as in a run of its own.
+    # The ghost slots and the last three rows the extrapolation reads are
+    # indices for one run (a scalar store) and slices for a batch.
+    ghost, last, second, third = (
+        (n_r, n_r - 1, n_r - 2, n_r - 3)
+        if m == 1
+        else tuple(slice(j * m, (j + 1) * m) for j in (n_r, n_r - 1, n_r - 2, n_r - 3))
+    )
     # fixed for the run: the ghost, the diagonals, the factor of u^5 in dt^2 F(u), a buffer
     boundary = desc.boundary(r[-1] + dr) if desc is not None else None
-    di, lo, up = _leapfrog_weights(r, dr, dt, D)
+    di, lo, up = (np.repeat(w, m) for w in _leapfrog_weights(r, dr, dt, D))
     quintic = {"none": 0.0, "defocusing_quintic": -(dt**2), "focusing_quintic": dt**2}[
         config.nonlinearity
     ]
-    scratch = np.empty(n_r)
+    scratch = np.empty(n_r * m)
 
     def window(w: int, *levels: np.ndarray) -> tuple:
-        """Views for stepping rows [0, w): the weights and scratch, then for
-        each time level the whole buffer, its rows, the rows below and above
-        them (through the ghost slot when w = n_r), and its rows from 1 on."""
-        weights = (di[:w], lo[: w - 1], up[:w], scratch[:w], scratch[1:w])
-        return (weights, *((u, u[:w], u[: w - 1], u[1 : w + 1], u[1:w]) for u in levels))
+        """Views for stepping rows [0, w): the weights, scratch and whether the
+        last row is stepped, then for each time level the whole buffer, its
+        rows, the rows below and above them (through the ghost slots when
+        w = n_r), and its rows from 1 on."""
+        e = w * m
+        weights = (di[:e], lo[: e - m], up[:e], scratch[:e], scratch[m:e], w == n_r)
+        return (weights, *((u, u[:e], u[: e - m], u[m : e + m], u[m:e]) for u in levels))
 
     def advance(weights: tuple, u: tuple, out: tuple, t: float) -> np.ndarray:
         """2 u + dt^2 (u_rr + ((D-1)/r) u_r + F(u)) into out's rows of the window."""
-        di_w, lo_w, up_w, s, s_tail = weights
+        di_w, lo_w, up_w, s, s_tail, edge = weights
         level, rows, below, above, _ = u
         _, out_rows, _, _, out_tail = out
-        if boundary is not None:
-            level[n_r] = boundary(t)
-        else:
-            level[n_r] = 3.0 * level[n_r - 1] - 3.0 * level[n_r - 2] + level[n_r - 3]
+        if edge:  # only the last row reads the ghost slots
+            if boundary is not None:
+                level[ghost] = boundary(t)
+            else:
+                level[ghost] = 3.0 * level[last] - 3.0 * level[second] + level[third]
         np.multiply(di_w, rows, out=out_rows)
         out_tail += np.multiply(lo_w, below, out=s_tail)
         out_rows += np.multiply(up_w, above, out=s)
@@ -370,34 +419,55 @@ def _solve(initial: RadialGridField, config: SolverConfig) -> Trajectory:
         return out_rows
 
     healthy = _health_test(config.blowup_threshold)
-    u_rows = np.zeros((n_steps // stride + 1, n_r))
+    stopped: dict[int, int] = {}  # run -> rows it had written when the threshold stopped it
+
+    def stop_unhealthy(rows: np.ndarray, *levels: np.ndarray) -> bool:
+        """Stop each run whose own rows fail the health test; True while one goes on.
+
+        A batch's one dot bounds every run's max^2, so only a batch that
+        fails it comes here.  A stopped run's levels are zeroed, so it
+        cannot overflow while the others step on.
+        """
+        for i in range(m):
+            if not healthy(rows[i::m]):
+                stopped.setdefault(i, k)
+                for level in levels:
+                    level[i::m] = 0.0
+        return len(stopped) < m
+
+    # snapshot k of run i is u_rows[k, :, i]; flat, a row of the stack is one time level
+    u_rows = np.zeros((n_steps // stride + 1, n_r, m))
     ut_rows = np.zeros_like(u_rows)
-    u_rows[0], ut_rows[0] = initial.u, initial.ut
+    u_rows[0] = np.stack([fld.u for fld in fields], axis=1)
+    ut_rows[0] = np.stack([fld.ut for fld in fields], axis=1)
+    u_flat, ut_flat = u_rows.reshape(u_rows.shape[0], -1), ut_rows.reshape(u_rows.shape[0], -1)
     k = 1  # rows written
 
-    # three rotating time levels, each with its ghost slot at index n_r;
+    # three rotating time levels, each with its ghost slots;
     # u_1 = u_0 + dt u_t + (dt^2 / 2)(u_rr + ((D-1)/r) u_r + F)(u_0) on every row
     w = n_r
-    weights, prev, curr, nxt = window(w, *(np.zeros(n_r + 1) for _ in range(3)))
-    prev[1][:] = initial.u
+    weights, prev, curr, nxt = window(w, *(np.zeros((n_r + 1) * m) for _ in range(3)))
+    prev[1][:] = u_flat[0]
     first = advance(weights, prev, curr, 0.0)
     first *= 0.5
-    first += dt * initial.ut
-    blown_up = not healthy(first)
+    first += dt * ut_flat[0]
+    going = healthy(first) or stop_unhealthy(first, prev[0], curr[0], nxt[0])
 
     # The numerical domain of dependence.  A row is +0 exactly when no bit
-    # of it is set; from row `support` on, u_0 and u_1 are +0.  A row whose
-    # stencil inputs are all +0 steps to di (+0) + lo 0 + up 0 (+ dt^2 F(+0))
-    # - (+0) = +0 (di = 2 - 2 cfl^2 > 0 on rows j >= 1), so at step n every row from
-    # support + n on is still +0, which is what the full-width run writes
-    # there.  With extrapolated ghosts the stepper therefore updates only a
-    # window of rows that grows by _BLOCK rows every _BLOCK steps, and covers
-    # the grid once it comes within three rows of the edge (the ghost reads
-    # the last three); descriptor ghosts feed the last row from the start.
+    # of it is set; from row `support` on, u_0 and u_1 are +0 in every run.
+    # A row whose stencil inputs are all +0 steps to di (+0) + lo 0 + up 0
+    # (+ dt^2 F(+0)) - (+0) = +0 (di = 2 - 2 cfl^2 > 0 on rows j >= 1), so
+    # at step n every row from support + n on is still +0, which is what the
+    # full-width run writes there.  With extrapolated ghosts the stepper
+    # therefore updates only a window of rows that grows by _BLOCK rows every
+    # _BLOCK steps, and covers the grid once it comes within three rows of
+    # the edge (the ghost reads the last three); until then no ghost is
+    # formed, since no stepped row reads it.  Descriptor ghosts feed the last
+    # row from the start.
     set_bits = np.flatnonzero(prev[1].view(np.uint64) | curr[1].view(np.uint64))
-    support = int(set_bits[-1]) + 1 if set_bits.size else 0
+    support = int(set_bits[-1]) // m + 1 if set_bits.size else 0
     n = 1
-    while n <= n_steps and not blown_up:
+    while n <= n_steps and going:
         if (n - 1) % _BLOCK == 0:
             w = support + n + _BLOCK
             if boundary is not None or w + 3 > n_r:
@@ -405,34 +475,50 @@ def _solve(initial: RadialGridField, config: SolverConfig) -> Trajectory:
             weights, prev, curr, nxt = window(w, prev[0], curr[0], nxt[0])
         rows = advance(weights, curr, nxt, n * dt)
         rows -= prev[1]
-        if not healthy(rows):
-            blown_up = True
+        if not healthy(rows) and not stop_unhealthy(rows, prev[0], curr[0], nxt[0]):
             break
         if n % stride == 0:
-            u_rows[k, :w] = curr[1]
-            ut = ut_rows[k, :w]
+            e = w * m
+            u_flat[k, :e] = curr[1]
+            ut = ut_flat[k, :e]
             np.divide(np.subtract(rows, prev[1], out=ut), 2 * dt, out=ut)
             k += 1
         prev, curr, nxt = curr, nxt, prev
         n += 1
 
-    return Trajectory(
-        r=r,
-        times=np.arange(k) * stride * dt,
-        u=u_rows[:k],
-        ut=ut_rows[:k],
-        lifted_dim=D,
-        descriptor=desc,
-        config=config,
-        blown_up=blown_up,
-    )
+    trajectories = []
+    for i in range(m):
+        rows_i = stopped.get(i, k)
+        trajectories.append(
+            Trajectory(
+                r=r,
+                times=np.arange(rows_i) * stride * dt,
+                u=np.ascontiguousarray(u_rows[:rows_i, :, i]),
+                ut=np.ascontiguousarray(ut_rows[:rows_i, :, i]),
+                lifted_dim=D,
+                descriptor=desc,
+                config=config,
+                blown_up=i in stopped,
+            )
+        )
+    return trajectories
 
 
-def solve_mode_linear(initial: RadialGridField, config: SolverConfig) -> Trajectory:
-    """Evolve the lifted linear equation u_tt = u_rr + ((D-1)/r) u_r."""
+def solve_mode_linear(
+    initial: RadialGridField | Sequence[RadialGridField], config: SolverConfig
+) -> Trajectory | TrajectoryBatch:
+    """Evolve the lifted linear equation u_tt = u_rr + ((D-1)/r) u_r.
+
+    `initial` is one field, or a sequence of fields that share a grid,
+    lifted dimension and descriptor.  Those are stepped as one run and
+    come back as a TrajectoryBatch, each trajectory bit for bit the one
+    its field gives alone.
+    """
     if config.nonlinearity != "none":
         raise ValueError("linear solves take nonlinearity='none'")
-    return _solve(initial, config)
+    if isinstance(initial, RadialGridField):
+        return _solve((initial,), config)[0]
+    return TrajectoryBatch(_solve(initial, config))
 
 
 def solve_quintic(initial: RadialGridField, config: SolverConfig) -> Trajectory:
@@ -441,7 +527,7 @@ def solve_quintic(initial: RadialGridField, config: SolverConfig) -> Trajectory:
         raise ValueError("the quintic solver is for physical d = 3 radial fields")
     if config.nonlinearity == "none":
         raise ValueError("quintic solves need a nonlinearity; use solve_mode_linear")
-    return _solve(initial, config)
+    return _solve((initial,), config)[0]
 
 
 # ---------------------------------------------------------------------------

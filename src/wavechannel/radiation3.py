@@ -327,36 +327,37 @@ def channel_identity_check(
     """Test 4 pi (E_+ + E_-) = 2 tail_S(R)^2 on a computed evolution.
 
     E_+- are the Richardson limits of the exterior cone energy for the
-    forward and time-reversed runs; the right side comes from the
-    forward map of the same initial data.  Both routes are independent:
-    one is quadrature on the evolved grid, the other is algebra on the
-    data.  A descriptor on `fld` supplies exact exterior ghosts for
-    both runs: lifted dimension 3 admits no velocity chain, so its
-    chains are even in t and also describe the time-reversed data.
+    forward and time-reversed runs, which one call of solve_mode_linear
+    steps together, each bit for bit as a run of its own; the right side comes
+    from the forward map of the same initial data.  Both routes are
+    independent: one is quadrature on the evolved grid, the other is
+    algebra on the data.  A descriptor on `fld` supplies exact exterior
+    ghosts for both runs: lifted dimension 3 admits no velocity chain,
+    so its chains are even in t and also describe the time-reversed
+    data.  Refusals of the forward run come before those of the
+    reversed one.
     """
     if fld.lifted_dim != 3:
         raise ValueError("the channel identity is a d = 3 statement")
     if R <= 0:
         raise ValueError("cone radius must be positive")
     t_nodes = [config.t_final / 2**j for j in range(_RICHARDSON_NODES)]
+    runs = solve_mode_linear(
+        [
+            RadialGridField(r=fld.r, u=fld.u, ut=sign * fld.ut, lifted_dim=3, descriptor=fld.descriptor)
+            for sign in (1.0, -1.0)
+        ],
+        config,
+    )
 
-    def limit_for(sign: float) -> float:
-        data = RadialGridField(
-            r=fld.r,
-            u=fld.u,
-            ut=sign * fld.ut,
-            lifted_dim=3,
-            descriptor=fld.descriptor,
-        )
-        traj = solve_mode_linear(data, config)
+    def limit_of(traj: Trajectory) -> float:
         _require_healthy(traj)
         series = cone_energy(traj, R)
         dt_store = float(traj.times[1] - traj.times[0]) if traj.times.size > 1 else config.dt
         es = [series.values[_snapshot_index(traj.times, t, dt_store)] for t in t_nodes]
         return extrapolate_to_zero([1.0 / t for t in t_nodes], es)
 
-    e_plus = limit_for(1.0)
-    e_minus = limit_for(-1.0)
+    e_plus, e_minus = (limit_of(traj) for traj in runs)
     profile = forward_map(fld.r, fld.u, fld.ut, du0=du0)
     rhs = 2.0 * tail_S(profile, R) ** 2
     lhs = 4.0 * math.pi * (e_plus + e_minus)

@@ -50,6 +50,37 @@ class TestValidation:
         assert run(["lemmas", "--config", str(cfg)]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,where,value",
+        [
+            ("nlw --gaussian 0.5 1.5 --t-final inf", "t_final", "inf"),
+            ("evolve --gaussian 0.5 1.5 --r-max nan", "r_max", "nan"),
+            ("energy --A 1.0 --cone-radius nan", "cone_radius", "nan"),
+            ("radiation --gaussian 0.5 inf", "gaussian/1", "inf"),
+            ("nlw --gaussian 0.5 1.5 --probe-radii 2 nan", "probe_radii/1", "nan"),
+        ],
+    )
+    def test_non_finite_numbers_exit_1(self, outdir, capsys, argv, where, value):
+        assert run(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: invalid configuration at {where}: {value} is not a finite number\n"
+        assert list(outdir.iterdir()) == []
+
+    def test_non_finite_config_values_exit_1(self, outdir, capsys):
+        cfg = outdir / "inf.json"
+        cfg.write_text('{"gaussian": [0.5, 1.5], "t_final": Infinity}')
+        assert run(["nlw", "--config", str(cfg)]) == 1
+        assert "at t_final: inf is not a finite number" in capsys.readouterr().err
+        assert [p.name for p in outdir.iterdir()] == ["inf.json"]
+
+    def test_float_count_in_config_exits_1(self, outdir, capsys):
+        # the schema takes 801.0 as an integer; the solver config refuses it
+        cfg = outdir / "float.json"
+        cfg.write_text(json.dumps({"gaussian": [0.5, 1.5], "n_r": 801.0, "t_final": 1.0}))
+        assert run(["evolve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: n_r must be an integer, got 801.0\n"
+        assert [p.name for p in outdir.iterdir()] == ["float.json"]
+
     def test_config_must_be_an_object(self, outdir, capsys):
         cfg = outdir / "list.json"
         cfg.write_text("[1, 2]")

@@ -44,6 +44,17 @@ class TestConfig:
                 rs.SolverConfig(r_max=10.0, n_r=100, t_final=1.0, blowup_threshold=threshold)
         rs.SolverConfig(r_max=10.0, n_r=100, t_final=1.0, blowup_threshold=math.inf)
 
+    def test_finite_numbers_and_integer_counts(self):
+        base = dict(r_max=16.0, n_r=801, t_final=4.0)
+        for key, bad in [
+            ("r_max", math.inf), ("r_max", math.nan), ("t_final", math.inf), ("t_final", math.nan),
+            ("cfl", math.nan), ("n_r", 800.5), ("n_r", 801.0), ("store_every", 2.5), ("store_every", True),
+        ]:
+            with pytest.raises(ValueError, match=key):
+                rs.SolverConfig(**{**base, key: bad})
+        cfg = rs.SolverConfig(**{**base, "n_r": np.int64(801), "store_every": np.int64(2), "t_final": np.float64(4.0)})
+        assert cfg.n_steps == 444
+
     def test_grid_derivations(self):
         cfg = rs.SolverConfig(r_max=10.0, n_r=101, t_final=1.0, cfl=0.5)
         assert cfg.dr == pytest.approx(0.1)
@@ -328,6 +339,110 @@ class TestReferenceStepper:
         fld = rs.gaussian_bump(cfg, 0.5, 1.5)
         assert np.all(fld.u != 0.0)
         self.assert_same_run(fld, cfg)
+
+
+class TestBatch:
+    """Each trajectory of a batch is bit for bit its separate solve and the plain leapfrog.
+
+    The runs share one interleaved stepper: one window over the union of
+    their set bits, one health sum, and a stop for each run of its own.
+    """
+
+    @staticmethod
+    def assert_same_batch(fields, cfg):
+        batch = rs.solve_mode_linear(fields, cfg)
+        assert isinstance(batch, rs.TrajectoryBatch) and len(batch) == len(fields)
+        for fld, traj in zip(fields, batch):
+            alone = rs.solve_mode_linear(fld, cfg)
+            times, u, ut, blown_up = folded_leapfrog(fld, cfg)
+            assert traj.blown_up == alone.blown_up == blown_up
+            for run in (traj, alone):
+                assert same_bits(run.times, times)
+                assert same_bits(run.u, u)
+                assert same_bits(run.ut, ut)
+        return batch
+
+    @pytest.mark.parametrize("d,nu,A,B", DESCRIPTOR_CASES)
+    def test_shared_descriptor_ghosts(self, d, nu, A, B):
+        fld, cfg = descriptor_run(d, nu, A, B)
+        other = rs.RadialGridField(
+            r=fld.r, u=0.5 * fld.u, ut=-fld.ut, lifted_dim=fld.lifted_dim, descriptor=fld.descriptor
+        )
+        self.assert_same_batch([fld, other, fld], cfg)
+
+    # the window is taken over the union of the runs: a narrow run rides in
+    # a wide one's window, and pairs with m = 135 or 201 are full width at once
+    @pytest.mark.parametrize("m1,m2", [(1, 7), (7, 135), (68, 2), (100, 70), (201, 1)])
+    @pytest.mark.parametrize("lifted_dim", [3, 5])
+    def test_extrapolated_ghosts_in_the_window(self, m1, m2, lifted_dim):
+        cfg = rs.SolverConfig(r_max=20.0, n_r=201, t_final=12.0, store_every=1)
+        fields = [rows_bump(cfg, m1, lifted_dim), rows_bump(cfg, m2, lifted_dim, velocity_only=True)]
+        self.assert_same_batch(fields, cfg)
+
+    def test_time_reversed_pair(self):
+        # the pair channel_identity_check builds; the reversed u_t tail is -0.0
+        fld, cfg = radiating_run()
+        fields = [rs.RadialGridField(r=fld.r, u=fld.u, ut=sign * fld.ut, lifted_dim=3) for sign in (1.0, -1.0)]
+        tail = fld.r > 13.0
+        assert np.all(np.signbit(fields[1].ut[tail])) and not np.any(np.signbit(fields[0].ut[tail]))
+        self.assert_same_batch(fields, cfg)
+
+    def test_runs_stop_at_their_own_step(self):
+        # the threshold stops the wide bump at an early step; the narrow one runs to the end
+        cfg = rs.SolverConfig(r_max=20.0, n_r=201, t_final=12.0, store_every=1, blowup_threshold=0.6)
+        fields = [rows_bump(cfg, m, velocity_only=True) for m in (100, 40)]
+        batch = self.assert_same_batch(fields, cfg)
+        short, full = batch
+        assert short.blown_up and not full.blown_up
+        assert 1 < short.times.size < full.times.size == cfg.n_steps + 1
+        assert same_bits(batch.times, full.times)
+
+    def test_unstable_runs_stop_apart(self):
+        # lifted D = 7 is unstable next to the origin (ROADMAP item 1); the
+        # smaller bump takes longer to blow up
+        cfg = rs.SolverConfig(r_max=16.0, n_r=801, t_final=30.0, store_every=4)
+        fields = [compact_bump(cfg, amplitude, 4.0, lifted_dim=7) for amplitude in (1e-3, 0.5)]
+        late, early = self.assert_same_batch(fields, cfg)
+        assert late.blown_up and early.blown_up and early.times.size < late.times.size
+
+    def test_stopped_run_with_descriptor_ghosts(self):
+        # the loud run stops at its first step and is zeroed; the shared
+        # ghost then feeds its last row, and the wave it sends in passes
+        # the threshold again near the origin while the static run goes on
+        data = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[1.0])
+        cfg = rs.SolverConfig(r_max=8.0, n_r=201, t_final=16.0, store_every=1, blowup_threshold=1.6)
+        fld = rs.lifted_field_from_mode(data, cfg)
+        loud = rs.RadialGridField(r=fld.r, u=10.0 * fld.u, ut=fld.ut, lifted_dim=3, descriptor=fld.descriptor)
+        static, stopped = self.assert_same_batch([fld, loud], cfg)
+        assert stopped.blown_up and stopped.times.size == 1
+        assert not static.blown_up and static.times.size == cfg.n_steps + 1
+
+    def test_sum_past_the_limit_stops_no_healthy_run(self):
+        # each run stays within the threshold while the batch's sum of
+        # squares exceeds it, so a sum taken as the verdict would stop both
+        threshold = 1.1
+        cfg = rs.SolverConfig(r_max=20.0, n_r=201, t_final=12.0, store_every=1, blowup_threshold=threshold)
+        fields = [rows_bump(cfg, 100), rows_bump(cfg, 60, velocity_only=True)]
+        batch = self.assert_same_batch(fields, cfg)
+        assert not any(traj.blown_up for traj in batch)
+        sum_of_squares = sum(np.sum(traj.u**2, axis=1) for traj in batch)
+        assert np.all(sum_of_squares[1:100] > threshold**2)
+        assert all(np.max(np.abs(traj.u)) <= threshold for traj in batch)
+
+    def test_fields_must_share_grid_dimension_and_descriptor(self):
+        fld, cfg = extrapolated_run()
+        with pytest.raises(ValueError, match="at least one field"):
+            rs.solve_mode_linear([], cfg)
+        other_dim = rs.RadialGridField(r=fld.r, u=fld.u, ut=fld.ut, lifted_dim=3)
+        with pytest.raises(ValueError, match="share"):
+            rs.solve_mode_linear([fld, other_dim], cfg)
+        zero_desc = ev.ExteriorDescriptor(terms=(), valid_radius=1.0)
+        with_desc = rs.RadialGridField(r=fld.r, u=fld.u, ut=fld.ut, lifted_dim=5, descriptor=zero_desc)
+        with pytest.raises(ValueError, match="share"):
+            rs.solve_mode_linear([fld, with_desc], cfg)
+        coarse = rs.SolverConfig(r_max=16.0, n_r=101, t_final=1.0)
+        with pytest.raises(ValueError, match="does not match"):
+            rs.solve_mode_linear([compact_bump(coarse), fld], cfg)
 
 
 class TestCentredStencil:

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from scipy.special import erfc
 from wavechannel import exterior_basis as eb
 from wavechannel import radial_solver as rs
 from wavechannel import radiation3 as rad
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import channel_balance  # noqa: E402  (criterion 07's data and config)
 
 
 def gaussian_pair(n=4001, r_max=10.0):
@@ -240,3 +245,74 @@ class TestChannelBalance:
         report = rad.channel_identity_check(fld, cfg, R=1.0)
         assert report.rhs > 1e-3 * report.total
         assert report.rel_gap <= 0.01
+
+
+def identity_by_hand(fld, cfg, R, du0=None):
+    """channel_identity_check composed from two separate solves."""
+    t_nodes = [cfg.t_final / 2**j for j in range(4)]
+    limits = []
+    for sign in (1.0, -1.0):
+        data = rs.RadialGridField(r=fld.r, u=fld.u, ut=sign * fld.ut, lifted_dim=3, descriptor=fld.descriptor)
+        traj = rs.solve_mode_linear(data, cfg)
+        assert not traj.blown_up
+        series = rs.cone_energy(traj, R)
+        dt_store = float(traj.times[1] - traj.times[0])
+        es = [series.values[rad._snapshot_index(traj.times, t, dt_store)] for t in t_nodes]
+        limits.append(rad.extrapolate_to_zero([1.0 / t for t in t_nodes], es))
+    e_plus, e_minus = limits
+    return rad.ChannelBalance(
+        lhs=4.0 * math.pi * (e_plus + e_minus),
+        rhs=2.0 * rad.tail_S(rad.forward_map(fld.r, fld.u, fld.ut, du0=du0), R) ** 2,
+        e_plus=e_plus,
+        e_minus=e_minus,
+        total=4.0 * math.pi * rad.data_norm2(fld.r, fld.u, fld.ut, du0=du0),
+    )
+
+
+class TestChannelBatch:
+    """channel_identity_check steps both directions in one batch, with the separate solves' floats."""
+
+    def test_criterion_07_data_as_two_separate_solves(self):
+        rng = np.random.default_rng(7)
+        cfg = channel_balance.snapped_config(78.0, 3901, 16.0)
+        r = cfg.radial_grid()
+        for _ in range(2):
+            p = channel_balance.band_limited_profile(rng)
+            data = rad.inverse_map(p)
+            u0 = np.interp(r, data.r, data.u0, left=0.0, right=0.0)
+            u0[0] = 2.0 * np.interp(0.0, p.s, p.g)
+            u1 = np.interp(r, data.r, data.u1, left=0.0, right=0.0)
+            u1[0] = 0.0
+            fld = rs.RadialGridField(r=r, u=u0, ut=u1, lifted_dim=3)
+            assert rad.channel_identity_check(fld, cfg, R=1.0) == identity_by_hand(fld, cfg, 1.0)
+
+    def test_basis_data_as_two_separate_solves(self):
+        mode = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[1.0])
+        cfg = channel_balance.snapped_config(8.0, 401, 128.0)
+        fld = rs.lifted_field_from_mode(mode, cfg)
+        du0 = eb.eval_extended(mode, fld.r).du0_dr
+        assert rad.channel_identity_check(fld, cfg, R=1.0, du0=du0) == identity_by_hand(fld, cfg, 1.0, du0)
+
+    @pytest.mark.parametrize("c", [0.5, -0.5])
+    def test_forward_refusal_comes_first(self, c):
+        # both directions blow up, at different steps: with c = -0.5 the
+        # reversed run stops first, and the forward run is still the one named
+        cfg = rs.SolverConfig(r_max=20.0, n_r=201, t_final=12.0, store_every=1, blowup_threshold=0.6)
+        r = cfg.radial_grid()
+        j = np.arange(r.size)
+        bump = np.where(j < 100, 0.5 * (1.0 - (j / 100) ** 2) ** 4 + 1e-3, 0.0)
+        fld = rs.RadialGridField(r=r, u=bump, ut=c * bump, lifted_dim=3)
+        forward, reversed_ = (
+            rs.solve_mode_linear(rs.RadialGridField(r=r, u=bump, ut=sign * fld.ut, lifted_dim=3), cfg)
+            for sign in (1.0, -1.0)
+        )
+        assert forward.blown_up and reversed_.blown_up
+        assert forward.times[-1] != reversed_.times[-1]
+        with pytest.raises(rs.NumericalError) as err:
+            rad.channel_identity_check(fld, cfg, R=1.0)
+        assert str(err.value) == f"the linear run blew up; last stored snapshot at t={float(forward.times[-1]):g}"
+
+    def test_nonlinear_config_refused(self):
+        cfg = rs.SolverConfig(r_max=20.0, n_r=201, t_final=4.0, nonlinearity="defocusing_quintic")
+        with pytest.raises(ValueError, match="linear solves take nonlinearity='none'"):
+            rad.channel_identity_check(rs.gaussian_bump(cfg, 0.5, 1.5), cfg, R=1.0)
