@@ -4,34 +4,24 @@
 Runs every lemma variant over exact-rational random polynomials and
 reports violation counts, the smallest relative margin seen, and where
 it occurred.  The margin is (rhs - lhs) / rhs, so 0 is an equality case
-and anything negative would be a counterexample.
+and anything negative would be a counterexample.  The cases come from
+`polylib.random_lemma_case`, the draw of `wavechannel lemmas` and of
+acceptance criterion 02.
 """
 
 import argparse
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
-from wavechannel.polylib import lemma_check
-
-VARIANTS = ("sup_odd", "deriv_odd", "sup_even", "deriv_even")
+from wavechannel.polylib import VARIANTS, lemma_check, random_lemma_case
 
 
 @dataclass
 class AuditConfig:
     trials: int = 2000
     degree_max: int = 15
-    coeff_max: int = 9
     seed: int = 0
-
-
-def random_poly(rng: random.Random, cfg: AuditConfig) -> list[Fraction]:
-    degree = rng.randint(0, cfg.degree_max)
-    return [
-        Fraction(rng.randint(-cfg.coeff_max, cfg.coeff_max), rng.randint(1, 9))
-        for _ in range(degree + 1)
-    ]
 
 
 def audit(cfg: AuditConfig) -> int:
@@ -44,9 +34,7 @@ def audit(cfg: AuditConfig) -> int:
         min_margin = None
         witness = None
         for _ in range(cfg.trials):
-            coeffs = random_poly(rng, cfg)
-            L = Fraction(rng.randint(1, 16), rng.randint(1, 4))
-            l = L * Fraction(rng.randint(1, 4), 8)
+            coeffs, L, l = random_lemma_case(rng, cfg.degree_max)
             chk = lemma_check(coeffs, variant, L, l)
             if not chk.holds:
                 violations += 1

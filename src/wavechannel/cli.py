@@ -55,7 +55,6 @@ from . import radial_solver as rs
 from . import radiation3 as rad
 
 _VERSION = f"wavechannel-{__version__}"
-_VARIANTS = ("sup_odd", "deriv_odd", "sup_even", "deriv_even")
 
 
 class UsageError(Exception):
@@ -290,13 +289,8 @@ def _field_from_cfg(cfg: dict, config: rs.SolverConfig) -> rs.RadialGridField:
 
 
 def _solver_config(cfg: dict, **overrides: Any) -> rs.SolverConfig:
-    kw: dict[str, Any] = dict(
-        r_max=cfg["r_max"], n_r=cfg["n_r"], t_final=cfg["t_final"], cfl=cfg["cfl"]
-    )
-    if "store_every" in cfg:
-        kw["store_every"] = cfg["store_every"]
-    kw.update(overrides)
-    return rs.SolverConfig(**kw)
+    keys = ("r_max", "n_r", "t_final", "cfl", "store_every")
+    return rs.SolverConfig(**{key: cfg[key] for key in keys}, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +298,7 @@ def _solver_config(cfg: dict, **overrides: Any) -> rs.SolverConfig:
 
 
 def _run_lemmas(cfg: dict, base: Path) -> dict:
-    variants = _VARIANTS if cfg["variant"] == "all" else (cfg["variant"],)
+    variants = polylib.VARIANTS if cfg["variant"] == "all" else (cfg["variant"],)
     rng = random.Random(cfg["seed"])
     per: dict[str, dict] = {}
     total = 0
@@ -312,13 +306,7 @@ def _run_lemmas(cfg: dict, base: Path) -> dict:
         violations = 0
         worst: Optional[float] = None
         for _ in range(cfg["trials"]):
-            degree = rng.randint(0, cfg["degree_max"])
-            coeffs = [
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                for _ in range(degree + 1)
-            ]
-            L = Fraction(rng.randint(1, 16), rng.randint(1, 4))
-            l = L * Fraction(rng.randint(1, 4), 8)
+            coeffs, L, l = polylib.random_lemma_case(rng, cfg["degree_max"])
             chk = polylib.lemma_check(coeffs, variant, L, l)
             if not chk.holds:
                 violations += 1
@@ -464,8 +452,8 @@ def _run_radiation(cfg: dict, base: Path) -> dict:
         mode = _mode_from_cfg(cfg)
         if mode.spec.d != 3 or mode.spec.nu != 0:
             raise UsageError("the radiation map takes d = 3 radial data (nu = 0)")
-        profile = rad.mode_profile(mode, r)
         vals = eb.eval_extended(mode, r)
+        profile = rad.forward_map(r, vals.u0, vals.u1, du0=vals.du0_dr)
         try:
             isometry = rad.isometry_ratio(r, vals.u0, vals.u1, du0=vals.du0_dr)
         except ValueError:

@@ -36,7 +36,9 @@ __all__ = [
     "modified_legendre_poly",
     "modified_legendre_ode_residual",
     "family_norm2",
+    "VARIANTS",
     "lemma_check",
+    "random_lemma_case",
 ]
 
 _EXACT_TYPES = (int, Fraction)
@@ -483,7 +485,7 @@ class LemmaCheck:
     holds: bool
 
 
-_VARIANTS = ("sup_odd", "deriv_odd", "sup_even", "deriv_even")
+VARIANTS = ("sup_odd", "deriv_odd", "sup_even", "deriv_even")
 
 
 def lemma_check(poly, variant: str, L, l=None) -> LemmaCheck:
@@ -499,7 +501,7 @@ def lemma_check(poly, variant: str, L, l=None) -> LemmaCheck:
     endpoints and at isolated critical points, so a reported ``lhs``
     is a certified value of the objective inside the interval.
     """
-    if variant not in _VARIANTS:
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     p = poly if isinstance(poly, Poly) else Poly(poly)
     L = Fraction(L)
@@ -531,3 +533,17 @@ def lemma_check(poly, variant: str, L, l=None) -> LemmaCheck:
         lhs = (z * q * q).integrate(zero, l)
         rhs = Fraction(2 * k * (k + 2)) * l / L * (z * p * p).integrate(zero, L)
     return LemmaCheck(variant, lhs, rhs, lhs <= rhs)
+
+
+def random_lemma_case(rng, degree_max: int) -> tuple[list[Fraction], Fraction, Fraction]:
+    """One random lemma_check input (coeffs, L, l), drawn from a random.Random.
+
+    The degree is uniform on 0..degree_max and each coefficient is a/b
+    with a in -9..9 and b in 1..9; L = p/q with p in 1..16 and q in 1..4,
+    and l = L j/8 with j in 1..4, so every variant accepts the case.
+    """
+    degree = rng.randint(0, degree_max)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree + 1)]
+    L = Fraction(rng.randint(1, 16), rng.randint(1, 4))
+    l = L * Fraction(rng.randint(1, 4), 8)
+    return coeffs, L, l

@@ -5,8 +5,9 @@ odd line data, and the evolution into free 1d transport.  The past
 radiation field g(s) determines the data up to the static 1/r kernel,
 carries exactly half of the doubled energy, and its mass outside a
 radius balances the late-time exterior cone energies.  This module
-holds the forward and inverse maps, the tail functionals, and the
-Richardson limit needed to test that balance on computed solutions.
+holds the forward and inverse maps, the pull-back of a profile onto a
+solver grid, the tail functionals, and the Richardson limit needed to
+test that balance on computed solutions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy import integrate
 
-from .exterior_basis import ExteriorModeData, eval_extended
 from .radial_solver import (
     NumericalError,
     RadialGridField,
@@ -165,14 +165,6 @@ def forward_map(
     return RadiationProfile(s=s, g=g)
 
 
-def mode_profile(data: ExteriorModeData, r: np.ndarray) -> RadiationProfile:
-    """Forward map of a blended mode, using its exact radial derivative."""
-    if data.spec.d != 3:
-        raise ValueError("radiation fields are defined for d = 3 data")
-    vals = eval_extended(data, r)
-    return forward_map(r, vals.u0, vals.u1, du0=vals.du0_dr)
-
-
 def _cumulative4(f: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral on a uniform grid, fourth order.
 
@@ -230,6 +222,24 @@ def inverse_map(profile: RadiationProfile) -> RadialData:
     )
 
 
+def field_from_profile(profile: RadiationProfile, r: np.ndarray) -> RadialGridField:
+    """d = 3 grid data whose past radiation field is `profile`.
+
+    The inverse map's data are interpolated onto r, with zeros past the
+    profile's window; the origin node takes the limits u0(0) = 2 g(0) and
+    u1(0) = 0, so the grid must start at r = 0.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 1 or r.size == 0 or r[0] != 0.0:
+        raise ValueError("the radial grid must start at r = 0")
+    data = inverse_map(profile)
+    u0 = np.interp(r, data.r, data.u0, left=0.0, right=0.0)
+    u0[0] = 2.0 * np.interp(0.0, profile.s, profile.g)
+    u1 = np.interp(r, data.r, data.u1, left=0.0, right=0.0)
+    u1[0] = 0.0
+    return RadialGridField(r=r, u=u0, ut=u1, lifted_dim=3)
+
+
 def data_norm2(
     r: np.ndarray,
     u0: np.ndarray,
@@ -284,12 +294,12 @@ def extrapolate_to_zero(xs: Sequence[float], ys: Sequence[ArrayLike]) -> ArrayLi
     return float(total) if np.ndim(total) == 0 else total
 
 
-def _snapshot_index(times: np.ndarray, t: float, dt: float) -> int:
-    """Index of the stored time within about half a stride dt of t."""
+def _snapshot_index(times: np.ndarray, t: float) -> int:
+    """Index of the stored time that equals t up to rounding (1e-9 relative)."""
     idx = int(np.argmin(np.abs(times - t)))
-    if abs(float(times[idx]) - t) > 0.51 * dt:
+    if abs(float(times[idx]) - t) > 1e-9 * abs(t):
         raise NumericalError(
-            f"no stored snapshot near t={t:g}; adjust store_every/t_final"
+            f"no stored snapshot at t={t:g}; adjust store_every/t_final"
         )
     return idx
 
@@ -326,9 +336,11 @@ def channel_identity_check(
 ) -> ChannelBalance:
     """Test 4 pi (E_+ + E_-) = 2 tail_S(R)^2 on a computed evolution.
 
-    E_+- are the Richardson limits of the exterior cone energy for the
-    forward and time-reversed runs, which one call of solve_mode_linear
-    steps together, each bit for bit as a run of its own; the right side comes
+    E_+- are the Richardson limits, in 1/t, of the exterior cone energy
+    at T, T/2, T/4 and T/8 (T = config.t_final) for the forward and
+    time-reversed runs; each node must be a stored time up to rounding,
+    or NumericalError is raised.  One call of solve_mode_linear steps
+    both runs together, each bit for bit as a run of its own; the right side comes
     from the forward map of the same initial data.  Both routes are
     independent: one is quadrature on the evolved grid, the other is
     algebra on the data.  A descriptor on `fld` supplies exact exterior
@@ -353,8 +365,7 @@ def channel_identity_check(
     def limit_of(traj: Trajectory) -> float:
         _require_healthy(traj)
         series = cone_energy(traj, R)
-        dt_store = float(traj.times[1] - traj.times[0]) if traj.times.size > 1 else config.dt
-        es = [series.values[_snapshot_index(traj.times, t, dt_store)] for t in t_nodes]
+        es = [series.values[_snapshot_index(traj.times, t)] for t in t_nodes]
         return extrapolate_to_zero([1.0 / t for t in t_nodes], es)
 
     e_plus, e_minus = (limit_of(traj) for traj in runs)

@@ -20,6 +20,10 @@ command-line references are the CSV table written cell by cell with
 format(v, ".17g"), and the parser with all seven subcommands' flags
 built, for byte-for-byte comparison with the block writer and the
 parser that builds only the chosen subcommand's flags.
+
+Two test-data builders live here too, since several modules draw the
+same data: ``random_mode``, a blended exterior mode with uniform random
+coefficients, and ``compact_bump``, a C^3 bump at rest on a solver grid.
 """
 
 from __future__ import annotations
@@ -34,7 +38,25 @@ import numpy as np
 
 from wavechannel import cli
 from wavechannel import exterior_basis as eb
+from wavechannel import radial_solver as rs
 from wavechannel.polylib import Poly, gauss_nodes
+
+
+def random_mode(rng, d, nu, R=None):
+    spec = eb.ModeSpec(d, nu)
+    R = float(rng.uniform(0.5, 3.0)) if R is None else R
+    A = rng.uniform(-2, 2, size=spec.k1_max)
+    B = rng.uniform(-2, 2, size=spec.k2_max)
+    return eb.build_exterior_mode(spec, R, A, B)
+
+
+def compact_bump(config, amplitude=0.5, support=4.0, lifted_dim=3):
+    r = config.radial_grid()
+    s = np.clip(r / support, 0.0, 1.0)
+    u = amplitude * (1 - s**2) ** 4
+    return rs.RadialGridField(
+        r=r, u=u, ut=np.zeros_like(r), lifted_dim=lifted_dim, descriptor=None
+    )
 
 
 def halfline_rule(R: float, n: int = 120) -> tuple[np.ndarray, np.ndarray]:

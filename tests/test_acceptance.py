@@ -4,10 +4,13 @@ Each test prints a single PASS line with the measured quantities, so a
 verbose run doubles as the acceptance report.  Tolerances are stated
 inline; nothing here is weaker than the module-level suites, but these
 run the full advertised sizes (1000 exact lemma trials per variant,
-100 random modes, 20 random channel data sets, and so on).
+100 random modes, 20 random channel data sets, and so on).  Criteria
+06 and 07 run the experiment code of scripts/convergence_study.py and
+scripts/channel_balance.py, so the scripts print what is gated here.
 """
 
 import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -22,31 +25,15 @@ import wavechannel.exterior_basis as eb
 import wavechannel.polylib as pl
 import wavechannel.radial_solver as rs
 import wavechannel.radiation3 as rad
-from oracles import exterior_norms_quadrature
+from oracles import compact_bump, exterior_norms_quadrature, random_mode
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from channel_balance import band_limited_profile, snapped_config  # noqa: E402
+from convergence_study import chain_error, dalembert_error  # noqa: E402
 
 
 def ok(n: int, msg: str) -> None:
     print(f"criterion {n}: PASS - {msg}")
-
-
-def random_mode(rng, d, nu, R=None):
-    spec = eb.ModeSpec(d, nu)
-    R = float(rng.uniform(0.5, 3.0)) if R is None else R
-    A = rng.uniform(-2, 2, size=spec.k1_max)
-    B = rng.uniform(-2, 2, size=spec.k2_max)
-    return eb.build_exterior_mode(spec, R, A, B)
-
-
-def compact_bump(config, amplitude=0.5, support=4.0, lifted_dim=3):
-    r = config.radial_grid()
-    s = np.clip(r / support, 0.0, 1.0)
-    u = amplitude * (1 - s**2) ** 4
-    return rs.RadialGridField(
-        r=r, u=u, ut=np.zeros_like(r), lifted_dim=lifted_dim, descriptor=None
-    )
 
 
 def test_criterion_01_orthogonal_family_norms_and_ode():
@@ -63,20 +50,12 @@ def test_criterion_01_orthogonal_family_norms_and_ode():
 
 
 def test_criterion_02_lemma_inequalities_1000_per_variant():
-    import random
-
     rng = random.Random(0)
     start = time.time()
     checked = 0
-    for variant in ("sup_odd", "deriv_odd", "sup_even", "deriv_even"):
+    for variant in pl.VARIANTS:
         for _ in range(1000):
-            degree = rng.randint(0, 15)
-            coeffs = [
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                for _ in range(degree + 1)
-            ]
-            L = Fraction(rng.randint(1, 16), rng.randint(1, 4))
-            l = L * Fraction(rng.randint(1, 4), 8)
+            coeffs, L, l = pl.random_lemma_case(rng, 15)
             assert pl.lemma_check(coeffs, variant, L, l).holds, (variant, coeffs, L, l)
             checked += 1
     elapsed = time.time() - start
@@ -140,43 +119,10 @@ def test_criterion_05_decay_ratio_and_monotone_tails():
 
 
 class TestCriterion06Convergence:
-    @staticmethod
-    def dalembert(r, t):
-        def w0(x):
-            return x * np.exp(-(x**2))
-
-        out = np.empty_like(r)
-        pos = r > 1e-12
-        out[pos] = (w0(r[pos] + t) + w0(r[pos] - t)) / (2 * r[pos])
-        if np.any(~pos):
-            out[~pos] = np.exp(-(t**2)) * (1 - 2 * t**2)
-        return out
-
-    def dalembert_error(self, n_r):
-        cfg = rs.SolverConfig(r_max=20.0, n_r=n_r, t_final=3.0, store_every=10**9)
-        r = cfg.radial_grid()
-        fld = rs.RadialGridField(r=r, u=np.exp(-(r**2)), ut=np.zeros_like(r), lifted_dim=3)
-        traj = rs.solve_mode_linear(fld, cfg)
-        t_end = float(traj.times[-1])
-        mask = traj.r < 10.0
-        return np.max(
-            np.abs(traj.u[-1][mask] - self.dalembert(traj.r[mask], t_end))
-        )
-
-    def chain_error(self, n_r):
-        data = eb.build_exterior_mode(eb.ModeSpec(7, 0), 1.0, A=[0.0, 1.0], B=[0.0])
-        cfg = rs.SolverConfig(r_max=14.0, n_r=n_r, t_final=2.0, store_every=10**9)
-        fld = rs.lifted_field_from_mode(data, cfg)
-        traj = rs.solve_mode_linear(fld, cfg)
-        t_end = float(traj.times[-1])
-        mask = traj.r > 1.0 + t_end / cfg.cfl + 3 * cfg.dr
-        exact = traj.descriptor.eval(traj.r[mask], t_end)
-        return np.max(np.abs(traj.u[-1][mask] - exact.u))
-
     def test_refinement_ratios_and_drift(self):
-        r1 = self.dalembert_error(401) / self.dalembert_error(801)
+        r1 = dalembert_error(401) / dalembert_error(801)
         assert 3.6 <= r1 <= 4.4, r1
-        r2 = self.chain_error(701) / self.chain_error(1401)
+        r2 = chain_error(701) / chain_error(1401)
         assert 3.6 <= r2 <= 4.4, r2
 
         cfg = rs.SolverConfig(r_max=30.0, n_r=2501, t_final=20.0, store_every=50)
@@ -207,13 +153,7 @@ class TestCriterion07ChannelIdentity:
         r = cfg.radial_grid()
         worst = 0.0
         for _ in range(20):
-            p = band_limited_profile(rng)
-            data = rad.inverse_map(p)
-            u0 = np.interp(r, data.r, data.u0, left=0.0, right=0.0)
-            u0[0] = 2.0 * np.interp(0.0, p.s, p.g)
-            u1 = np.interp(r, data.r, data.u1, left=0.0, right=0.0)
-            u1[0] = 0.0
-            fld = rs.RadialGridField(r=r, u=u0, ut=u1, lifted_dim=3)
+            fld = rad.field_from_profile(band_limited_profile(rng), r)
             report = rad.channel_identity_check(fld, cfg, R=1.0)
             assert report.rhs > 1e-3 * report.total
             assert report.rel_gap <= 0.01

@@ -447,7 +447,7 @@ class TestNumericalErrors:
         with pytest.raises(rs.NumericalError):
             rs.cone_energy(traj, 1.0)
         with pytest.raises(rs.NumericalError):
-            rad._snapshot_index(traj.times, 100.0, 0.1)
+            rad._snapshot_index(traj.times, 100.0)
 
 
 PIPE_CFG = {

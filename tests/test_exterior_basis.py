@@ -13,15 +13,8 @@ from oracles import (
     extended_profiles_reference,
     halfline_rule,
     radial_span,
+    random_mode,
 )
-
-
-def random_mode(rng, d, nu, R=None):
-    spec = eb.ModeSpec(d, nu)
-    R = float(rng.uniform(0.5, 3.0)) if R is None else R
-    A = rng.uniform(-2, 2, size=spec.k1_max)
-    B = rng.uniform(-2, 2, size=spec.k2_max)
-    return eb.build_exterior_mode(spec, R, A, B)
 
 
 class TestModeSpec:

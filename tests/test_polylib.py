@@ -393,7 +393,6 @@ class TestRootIsolation:
 # isolation at every degree (each lhs rose by 2.9e-8 relative)
 
 GOLDEN = Path(__file__).parent / "data" / "lemma_golden.json"
-VARIANTS = ("sup_odd", "deriv_odd", "sup_even", "deriv_even")
 
 
 def _ratio(x: Fraction) -> str:
@@ -411,7 +410,7 @@ def golden_inputs() -> list[tuple[str, list[Fraction], Fraction, Fraction]]:
     """
     rng = random.Random(20240607)
     cases = []
-    for variant in VARIANTS:
+    for variant in pl.VARIANTS:
         draws = [(d, False) for d in range(21) for _ in range(2 if d <= 15 else 1)]
         draws += [(d, True) for d in range(3, 21)]
         for degree, double_root in draws:

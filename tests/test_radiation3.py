@@ -23,19 +23,18 @@ def gaussian_pair(n=4001, r_max=10.0):
     return r, u0, u1, du0
 
 
-def band_limited_profile(rng, half_width=12.0, n=4801, zero_mean=False):
-    """Random trigonometric packet under a Gaussian envelope."""
+def band_limited_profile(rng, half_width=12.0, n=4801):
+    """Random trigonometric packet under a Gaussian envelope, of any mean.
+
+    channel_balance.band_limited_profile draws the same packet with its
+    mean taken out.
+    """
     s = np.linspace(-half_width, half_width, n)
     g = np.zeros_like(s)
     for k in range(1, 6):
         a, b = rng.normal(size=2)
         g += a * np.cos(0.5 * k * s) + b * np.sin(0.5 * k * s)
     g *= np.exp(-((s / 3.0) ** 2))
-    if zero_mean:
-        mean = np.trapezoid(g, x=s)
-        g -= mean * np.exp(-((s / 3.0) ** 2)) / np.trapezoid(
-            np.exp(-((s / 3.0) ** 2)), x=s
-        )
     return rad.RadiationProfile(s=s, g=g)
 
 
@@ -129,7 +128,7 @@ class TestIsometry:
         # 1/r far field, outside any truncated radial window
         rng = np.random.default_rng(3)
         for _ in range(5):
-            p = band_limited_profile(rng, zero_mean=True)
+            p = channel_balance.band_limited_profile(rng)
             data = rad.inverse_map(p)
             ratio = rad.isometry_ratio(data.r, data.u0, data.u1)
             assert ratio == pytest.approx(1.0, rel=1e-6)
@@ -162,10 +161,17 @@ class TestInverseMap:
 
     def test_zero_mean_gives_decaying_data(self):
         rng = np.random.default_rng(13)
-        p = band_limited_profile(rng, zero_mean=True)
+        p = channel_balance.band_limited_profile(rng)
         data = rad.inverse_map(p)
         assert abs(data.charge) < 1e-10
         assert abs(data.r[-1] * data.u0[-1]) < 1e-9
+
+
+class TestFieldFromProfile:
+    def test_grid_off_the_origin_refused(self):
+        p = channel_balance.band_limited_profile(np.random.default_rng(29))
+        with pytest.raises(ValueError, match="start at r = 0"):
+            rad.field_from_profile(p, np.linspace(0.01, 20.0, 1001))
 
 
 class TestFuturePast:
@@ -180,18 +186,14 @@ class TestModeRadiation:
     def test_blended_monopole_supported_inside_R(self):
         data = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[1.0])
         r = np.linspace(0.005, 6.0, 1200)
-        p = rad.mode_profile(data, r)
+        vals = eb.eval_extended(data, r)
+        p = rad.forward_map(r, vals.u0, vals.u1, du0=vals.du0_dr)
         # exterior w0 is the constant A; float evaluation of u0 + r u0'
         # leaves only rounding crumbs there
         assert p.tail2(1.0) <= 1e-30
         assert p.norm2() > 1e-3
         outside = np.abs(p.s) > 1.0
         assert np.max(np.abs(p.g[outside])) <= 1e-15
-
-    def test_mode_profile_requires_d3(self):
-        data = eb.build_exterior_mode(eb.ModeSpec(5, 0), 1.0, A=[1.0], B=[0.0])
-        with pytest.raises(ValueError):
-            rad.mode_profile(data, np.linspace(0.01, 4.0, 400))
 
 
 class TestExtrapolation:
@@ -205,21 +207,10 @@ class TestExtrapolation:
             rad.extrapolate_to_zero([0.1, 0.1], [1.0, 2.0])
 
 
-def snapped_config(r_max, n_r, t_final, **kw):
-    """Config whose dt divides t_final/8, so dyadic times are stored."""
-    dr = r_max / (n_r - 1)
-    n_total = 8 * math.ceil(t_final / (8 * 0.45 * dr))
-    dt = t_final / n_total
-    return rs.SolverConfig(
-        r_max=r_max, n_r=n_r, t_final=t_final, cfl=dt / dr,
-        store_every=n_total // 8, **kw
-    )
-
-
 class TestChannelBalance:
     def test_monopole_basis_data_both_sides_vanish(self):
         mode = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[1.0])
-        cfg = snapped_config(8.0, 401, 128.0)
+        cfg = channel_balance.snapped_config(8.0, 401, 128.0)
         fld = rs.lifted_field_from_mode(mode, cfg)
         vals = eb.eval_extended(mode, fld.r)
         # d = 3 chains are even in t: the descriptor also covers the reversed run
@@ -230,21 +221,39 @@ class TestChannelBalance:
 
     def test_random_radiating_data(self):
         rng = np.random.default_rng(23)
-        p = band_limited_profile(rng, zero_mean=True)
-        data = rad.inverse_map(p)
+        p = channel_balance.band_limited_profile(rng)
         # r_max keeps the scheme's tiny superluminal leakage (front at
         # 12 + t, spread ~2 dr/step) out of the boundary-influence band
         # the contamination veto watches
-        cfg = snapped_config(78.0, 3901, 16.0)
-        r = cfg.radial_grid()
-        u0 = np.interp(r, data.r, data.u0, left=0.0, right=0.0)
-        u0[0] = 2.0 * np.interp(0.0, p.s, p.g)
-        u1 = np.interp(r, data.r, data.u1, left=0.0, right=0.0)
-        u1[0] = 0.0
-        fld = rs.RadialGridField(r=r, u=u0, ut=u1, lifted_dim=3)
+        cfg = channel_balance.snapped_config(78.0, 3901, 16.0)
+        fld = rad.field_from_profile(p, cfg.radial_grid())
         report = rad.channel_identity_check(fld, cfg, R=1.0)
         assert report.rhs > 1e-3 * report.total
         assert report.rel_gap <= 0.01
+
+    @staticmethod
+    def one_over_r_report(cfg):
+        mode = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[1.0])
+        fld = rs.lifted_field_from_mode(mode, cfg)
+        return rad.channel_identity_check(fld, cfg, R=1.0, du0=eb.eval_extended(mode, fld.r).du0_dr)
+
+    def test_snapshots_off_the_nodes_refused(self):
+        # the energy subcommand's default grid stores t = 0.45 k, up to 4.05;
+        # read at 4.05, 1.8, 0.9 and 0.45 as if at 4, 2, 1 and 0.5, the
+        # A/r data's limit came out negative (-0.0311)
+        cfg = rs.SolverConfig(r_max=16.0, n_r=801, t_final=4.0, store_every=50)
+        with pytest.raises(rs.NumericalError, match="no stored snapshot at t=4;"):
+            self.one_over_r_report(cfg)
+
+    def test_snapshots_on_the_nodes(self):
+        # the same grid with dt snapped to the nodes: the exterior energy
+        # of A/r data is 1/(1 + t), whose limit through the nodes is 1/45
+        report = self.one_over_r_report(channel_balance.snapped_config(16.0, 801, 4.0))
+        nodes = [4.0, 2.0, 1.0, 0.5]
+        want = rad.extrapolate_to_zero([1.0 / t for t in nodes], [1.0 / (1.0 + t) for t in nodes])
+        assert want == pytest.approx(1.0 / 45.0, rel=1e-12)
+        assert report.e_plus == report.e_minus
+        assert abs(report.e_plus - want) <= 0.02 * want
 
 
 def identity_by_hand(fld, cfg, R, du0=None):
@@ -256,8 +265,7 @@ def identity_by_hand(fld, cfg, R, du0=None):
         traj = rs.solve_mode_linear(data, cfg)
         assert not traj.blown_up
         series = rs.cone_energy(traj, R)
-        dt_store = float(traj.times[1] - traj.times[0])
-        es = [series.values[rad._snapshot_index(traj.times, t, dt_store)] for t in t_nodes]
+        es = [series.values[rad._snapshot_index(traj.times, t)] for t in t_nodes]
         limits.append(rad.extrapolate_to_zero([1.0 / t for t in t_nodes], es))
     e_plus, e_minus = limits
     return rad.ChannelBalance(
@@ -277,13 +285,7 @@ class TestChannelBatch:
         cfg = channel_balance.snapped_config(78.0, 3901, 16.0)
         r = cfg.radial_grid()
         for _ in range(2):
-            p = channel_balance.band_limited_profile(rng)
-            data = rad.inverse_map(p)
-            u0 = np.interp(r, data.r, data.u0, left=0.0, right=0.0)
-            u0[0] = 2.0 * np.interp(0.0, p.s, p.g)
-            u1 = np.interp(r, data.r, data.u1, left=0.0, right=0.0)
-            u1[0] = 0.0
-            fld = rs.RadialGridField(r=r, u=u0, ut=u1, lifted_dim=3)
+            fld = rad.field_from_profile(channel_balance.band_limited_profile(rng), r)
             assert rad.channel_identity_check(fld, cfg, R=1.0) == identity_by_hand(fld, cfg, 1.0)
 
     def test_basis_data_as_two_separate_solves(self):
