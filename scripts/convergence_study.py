@@ -12,17 +12,11 @@ as written here.
 """
 
 import argparse
-from dataclasses import dataclass, field
 
 import numpy as np
 
 import wavechannel.exterior_basis as eb
 import wavechannel.radial_solver as rs
-
-
-@dataclass
-class StudyConfig:
-    resolutions: list[int] = field(default_factory=lambda: [201, 401, 801, 1601])
 
 
 def dalembert_exact(r: np.ndarray, t: float) -> np.ndarray:
@@ -75,20 +69,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--resolutions", type=int, nargs="+",
-        default=StudyConfig().resolutions,
+        default=[201, 401, 801, 1601],
     )
     args = parser.parse_args(argv)
-    cfg = StudyConfig(resolutions=args.resolutions)
 
     table(
         "gaussian vs d'Alembert",
-        [dalembert_error(n) for n in cfg.resolutions],
-        cfg.resolutions,
+        [dalembert_error(n) for n in args.resolutions],
+        args.resolutions,
     )
     table(
         "lifted (7,0) chain, exterior window",
-        [chain_error(n) for n in cfg.resolutions],
-        cfg.resolutions,
+        [chain_error(n) for n in args.resolutions],
+        args.resolutions,
     )
     return 0
 

@@ -12,20 +12,12 @@ acceptance criterion 02.
 import argparse
 import random
 import time
-from dataclasses import dataclass
 
 from wavechannel.polylib import VARIANTS, lemma_check, random_lemma_case
 
 
-@dataclass
-class AuditConfig:
-    trials: int = 2000
-    degree_max: int = 15
-    seed: int = 0
-
-
-def audit(cfg: AuditConfig) -> int:
-    rng = random.Random(cfg.seed)
+def audit(trials: int, degree_max: int, seed: int) -> int:
+    rng = random.Random(seed)
     total_violations = 0
     print(f"{'variant':<12} {'trials':>7} {'violations':>10} {'min margin':>12}  at")
     for variant in VARIANTS:
@@ -33,8 +25,8 @@ def audit(cfg: AuditConfig) -> int:
         violations = 0
         min_margin = None
         witness = None
-        for _ in range(cfg.trials):
-            coeffs, L, l = random_lemma_case(rng, cfg.degree_max)
+        for _ in range(trials):
+            coeffs, L, l = random_lemma_case(rng, degree_max)
             chk = lemma_check(coeffs, variant, L, l)
             if not chk.holds:
                 violations += 1
@@ -46,7 +38,7 @@ def audit(cfg: AuditConfig) -> int:
         elapsed = time.time() - start
         spot = f"deg={witness[0]} L={witness[1]} l={witness[2]}" if witness else "-"
         print(
-            f"{variant:<12} {cfg.trials:>7} {violations:>10} "
+            f"{variant:<12} {trials:>7} {violations:>10} "
             f"{min_margin:>12.3e}  {spot}  ({elapsed:.1f}s)"
         )
         total_violations += violations
@@ -55,12 +47,11 @@ def audit(cfg: AuditConfig) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=AuditConfig.trials)
-    parser.add_argument("--degree-max", type=int, default=AuditConfig.degree_max)
-    parser.add_argument("--seed", type=int, default=AuditConfig.seed)
+    parser.add_argument("--trials", type=int, default=2000)
+    parser.add_argument("--degree-max", type=int, default=15)
+    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    cfg = AuditConfig(trials=args.trials, degree_max=args.degree_max, seed=args.seed)
-    violations = audit(cfg)
+    violations = audit(args.trials, args.degree_max, args.seed)
     if violations:
         print(f"FOUND {violations} VIOLATIONS")
         return 1

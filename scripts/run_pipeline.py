@@ -10,7 +10,6 @@ a wide margin (the true local rate is near 3).
 """
 
 import argparse
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,14 +18,7 @@ import wavechannel.exterior_basis as eb
 import wavechannel.radial_solver as rs
 
 
-@dataclass
-class PipelineConfig:
-    amplitude: float = 1.0
-    R: float = 1.0
-    r_max: float = 72.0
-    n_r: int = 3601
-    t_final: float = 4.0
-    probes: list[float] = field(default_factory=lambda: [2.0, 4.0, 8.0, 16.0, 32.0])
+PROBES = [2.0, 4.0, 8.0, 16.0, 32.0]
 
 
 def show(name: str, report: dl.DecayReport) -> None:
@@ -38,21 +30,17 @@ def show(name: str, report: dl.DecayReport) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--amplitude", type=float, default=PipelineConfig.amplitude)
-    parser.add_argument("--t-final", type=float, default=PipelineConfig.t_final)
-    parser.add_argument("--r-max", type=float, default=PipelineConfig.r_max)
-    parser.add_argument("--n-r", type=int, default=PipelineConfig.n_r)
+    parser.add_argument("--amplitude", type=float, default=1.0)
+    parser.add_argument("--t-final", type=float, default=4.0)
+    parser.add_argument("--r-max", type=float, default=72.0)
+    parser.add_argument("--n-r", type=int, default=3601)
     args = parser.parse_args(argv)
-    cfg = PipelineConfig(
-        amplitude=args.amplitude, t_final=args.t_final,
-        r_max=args.r_max, n_r=args.n_r,
-    )
 
-    mode = eb.build_exterior_mode(eb.ModeSpec(3, 0), cfg.R, A=[cfg.amplitude])
-    config = rs.SolverConfig(r_max=cfg.r_max, n_r=cfg.n_r, t_final=cfg.t_final)
+    mode = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[args.amplitude])
+    config = rs.SolverConfig(r_max=args.r_max, n_r=args.n_r, t_final=args.t_final)
     fld = rs.lifted_field_from_mode(mode, config)
     report = dl.nonlinear_decay_pipeline(
-        fld, "defocusing_quintic", cfg.R, cfg.probes, t_final=cfg.t_final
+        fld, "defocusing_quintic", PROBES, t_final=args.t_final
     )
 
     print(f"cutoff support [{report.cutoff[0]:.2f}, {report.cutoff[1]:.2f}], "

@@ -10,38 +10,29 @@ slow improvement as the window grows.
 """
 
 import argparse
-from dataclasses import dataclass, field
 
 from wavechannel.decay_lab import RecursionParams, gamma_sequence, worst_case_S
 
 
-@dataclass
-class SweepConfig:
-    pairs: list[tuple[float, float]] = field(
-        default_factory=lambda: [(1.0, 5.0), (0.95, 5.0), (0.5, 3.0), (2.0, 2.0)]
-    )
-    r_over_R: float = 1e6
-    gamma_frac: float = 0.1
+PAIRS = [(1.0, 5.0), (0.95, 5.0), (0.5, 3.0), (2.0, 2.0)]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--r-over-R", type=float, default=SweepConfig.r_over_R)
+    parser.add_argument("--r-over-R", type=float, default=1e6)
     parser.add_argument(
         "--pair", type=float, nargs=2, action="append", metavar=("ALPHA", "L"),
         help="extra (alpha, l) pair; may repeat",
     )
     args = parser.parse_args(argv)
-    cfg = SweepConfig(r_over_R=args.r_over_R)
-    if args.pair:
-        cfg.pairs.extend(tuple(p) for p in args.pair)
+    pairs = PAIRS + [tuple(p) for p in args.pair or []]
 
     print(f"{'alpha':>6} {'l':>5} {'gamma*':>8} {'gamma_200':>10} "
           f"{'exponent':>9} {'residual':>9}")
-    for alpha, l in cfg.pairs:
-        params = RecursionParams(alpha, l, cfg.gamma_frac * (1 - 1 / l) * alpha)
+    for alpha, l in pairs:
+        params = RecursionParams(alpha, l, 0.1 * (1 - 1 / l) * alpha)
         tail = gamma_sequence(params, 200)[-1]
-        report = worst_case_S(params, 1.0, cfg.r_over_R)
+        report = worst_case_S(params, 1.0, args.r_over_R)
         note = " (interpolated probes)" if report.probes_interpolated else ""
         print(
             f"{alpha:>6.3f} {l:>5.2f} {params.gamma_star:>8.4f} {tail:>10.7f} "

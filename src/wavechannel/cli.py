@@ -284,7 +284,7 @@ def _mode_from_cfg(cfg: dict) -> eb.ExteriorModeData:
 def _field_from_cfg(cfg: dict, config: rs.SolverConfig) -> rs.RadialGridField:
     if cfg.get("gaussian") is not None:
         amp, width = cfg["gaussian"]
-        return rs.gaussian_bump(config, amp, width, lifted_dim=3)
+        return rs.gaussian_bump(config, amp, width)
     return rs.lifted_field_from_mode(_mode_from_cfg(cfg), config)
 
 
@@ -506,7 +506,6 @@ def _run_pipeline(cfg: dict, base: Path) -> dict:
         lambda: dl.nonlinear_decay_pipeline(
             fld,
             cfg["nonlinearity"],
-            cfg["R"],
             cfg["probe_radii"],
             t_final=cfg["t_final"],
             floor_tol=cfg["floor_tol"],

@@ -28,7 +28,7 @@ from .radial_solver import (
     solve_quintic,
     _moving_tail_integral,
 )
-from .radiation3 import RadiationProfile, _gradient4, forward_map, tail_S
+from .radiation3 import _gradient4, forward_map, tail_S
 
 # "r2 >> r1 >> R" on the grid: r1 >= INNER_FACTOR * R and
 # r2 >= SEPARATION_FACTOR * r1.  Reported alongside every envelope.
@@ -256,12 +256,11 @@ def _extremal_S(
 
 
 def _initial_slope(data: RadialGridField) -> np.ndarray:
-    """du0/dr on the grid, exact on the exterior when a descriptor exists."""
+    """du0/dr on the grid, exact where the descriptor covers the exterior."""
     du0 = _gradient4(data.u, data.dr)
-    if data.descriptor is not None:
-        cov = data.descriptor.covers(data.r, 0.0)
-        if np.any(cov):
-            du0[cov] = data.descriptor.eval(data.r[cov], 0.0).ur
+    cov = data.descriptor.covers(data.r, 0.0)
+    if np.any(cov):
+        du0[cov] = data.descriptor.eval(data.r[cov], 0.0).ur
     return du0
 
 
@@ -281,7 +280,6 @@ class PipelineReport:
     s_report: DecayReport
     dr_u0_report: DecayReport
     l6_report: DecayReport
-    profile: RadiationProfile
     cutoff: tuple[float, float]
     t_end: float
     floor_tol: float
@@ -290,13 +288,11 @@ class PipelineReport:
 def nonlinear_decay_pipeline(
     data: RadialGridField,
     nonlinearity: str,
-    R: float,
     probe_radii: Sequence[float],
     t_final: float = 4.0,
     floor_tol: float = 1e-9,
     cutoff_width: float = 4.0,
     snapshots: int = 32,
-    exploratory: bool = False,
 ) -> PipelineReport:
     """Radiation, gradient, and sixth-power decay of d = 3 radial data.
 
@@ -305,26 +301,20 @@ def nonlinear_decay_pipeline(
       s_report      tail mass sqrt(4 pi int_{|s|>rho} g^2 ds) of the
                     past radiation profile of (u0, u1);
       dr_u0_report  int_{r>rho} (du0/dr)^2 r^2 dr, grid quadrature plus
-                    the exact beyond-grid tail when a descriptor exists
-                    (truncated flags its absence);
+                    the descriptor's exact beyond-grid tail;
       l6_report     max_t int_{|x|>rho+|t|} |u|^6 dx along a nonlinear
                     run of the data, compactified outside every
                     diagnostic cone so the far boundary stays silent.
 
     Exponents are log-log fits over the probes; curves resting at the
-    floor get exponent inf.  Data without a descriptor is rejected
-    unless exploratory=True, since only basis-backed exteriors certify
-    the non-radiative hypothesis the reports speak to.
+    floor get exponent inf.  Data without a descriptor is rejected,
+    since only basis-backed exteriors certify the non-radiative
+    hypothesis the reports speak to.
     """
     if data.lifted_dim != 3:
         raise ValueError("the decay pipeline takes physical d = 3 radial data")
-    if data.descriptor is None and not exploratory:
-        raise ValueError(
-            "data carries no exterior descriptor; pass exploratory=True "
-            "to study generic data"
-        )
-    if not R > 0:
-        raise ValueError("R must be positive")
+    if data.descriptor is None:
+        raise ValueError("data carries no exterior descriptor")
     probes = np.asarray(probe_radii, dtype=float)
     if probes.ndim != 1 or probes.size < 4:
         raise ValueError("need at least 4 probe radii")
@@ -351,21 +341,13 @@ def nonlinear_decay_pipeline(
     # (b) gradient tails; the exterior families carry no velocity part
     # in d = 3, so the descriptor tail is purely the du0 integral
     integrand = du0**2 * r**2
-    beyond = (
-        data.descriptor.exterior_energy(float(r[-1]), 0.0)
-        if data.descriptor is not None
-        else 0.0
-    )
+    beyond = data.descriptor.exterior_energy(float(r[-1]), 0.0)
     b_values = np.array(
         [_moving_tail_integral(r, float(p), integrand) + beyond for p in probes]
     )
     b_fit = _fit_or_floor(probes, b_values, floor_tol * max(grad_mass, 1e-300))
     dr_u0_report = DecayReport(
-        r=probes,
-        values=b_values,
-        exponent=b_fit.beta,
-        residual=b_fit.residual,
-        truncated=data.descriptor is None,
+        r=probes, values=b_values, exponent=b_fit.beta, residual=b_fit.residual
     )
 
     # (c) sixth-power cone tails along the nonlinear run
@@ -404,7 +386,6 @@ def nonlinear_decay_pipeline(
         s_report=s_report,
         dr_u0_report=dr_u0_report,
         l6_report=l6_report,
-        profile=profile,
         cutoff=(c0, c1),
         t_end=float(traj.times[-1]),
         floor_tol=floor_tol,

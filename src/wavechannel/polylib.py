@@ -6,16 +6,19 @@ modified family orthogonal under the shifted weight (x+1)dx, exact from
 its Rodrigues-type derivative definition, with their squared norms.
 The module also holds Gauss-Legendre quadrature and the interval sup /
 weighted-derivative inequalities used by the exterior-decay estimates
-elsewhere in the package; their sup sides locate critical points by
-exact Sturm isolation at every degree.
+elsewhere in the package.  Their sup sides locate critical points by
+exact Sturm isolation at every degree; a root at a bracket's right end
+is taken exactly, and any other is refined by float bisection oriented
+by the exact sign at that end.
 
 A polynomial is stored as integer numerators over one positive
 denominator, the content and primitive-part form (Knuth, TAOCP vol. 2,
 section 4.6.1): sums, products, derivatives, integrals, evaluation at a
 rational point and the Sturm chains run on Python ints, with one gcd
 per result, and the coefficients read as ``fractions.Fraction``.
-Floats enter only at evaluation: a float or array argument is
-evaluated on the coefficients rounded once, ``float_coeffs``.
+Floats enter only at evaluation: a float or array argument, and the
+bisection inside an isolating bracket, use the coefficients rounded
+once, ``float_coeffs``.
 """
 
 from __future__ import annotations
@@ -406,14 +409,21 @@ def isolate_real_roots(p: Poly, a: Fraction, b: Fraction):
     return brackets
 
 
-def _refine_root(p: Poly, lo: Fraction, hi: Fraction) -> float:
-    """Float bisection on an isolating bracket; falls back to midpoint.
+def _refine_root(p: Poly, lo: Fraction, hi: Fraction) -> Fraction | float:
+    """A root of p in the bracket (lo, hi], by float bisection oriented at ``hi``.
 
-    Brackets are half-open (lo, hi], so a zero value at ``lo`` belongs
-    to the neighbouring bracket and the left end is nudged inward.
+    The sign of p at ``hi`` is exact, from p's integer numerators; a
+    zero there returns ``hi`` itself.  Otherwise 80 bisection steps
+    keep the half whose float sign differs from the sign at ``hi``.
     Scalar values come from a Horner loop with the multiply-then-add
-    rounding of ``np.polyval``, so the bits match it.
+    rounding of ``np.polyval``, so the bits match it.  A root of odd
+    multiplicity is refined to float precision; at a root of even
+    multiplicity p keeps its sign and the result is some point of the
+    closed bracket.
     """
+    v_hi = _horner_ints(p.num, hi.numerator, hi.denominator)[0]
+    if v_hi == 0:
+        return hi
     cs = p.float_coeffs[::-1]
 
     def f(x):
@@ -422,45 +432,30 @@ def _refine_root(p: Poly, lo: Fraction, hi: Fraction) -> float:
             acc = acc * x + c
         return acc
 
-    def same_sign(u, v):  # np.sign(u) == np.sign(v) for nonzero u, v
-        return (u > 0 and v > 0) or (u < 0 and v < 0)
-
     a, b = float(lo), float(hi)
-    f_hi = f(b)
-    if f_hi == 0.0:
-        return b
-    f_lo = f(a)
-    step = (b - a) * 2.0**-24
-    while f_lo == 0.0 and a + step < b:
-        a += step
-        f_lo = f(a)
-        step *= 2.0
-    if f_lo == 0.0 or same_sign(f_lo, f_hi):
-        xs = np.linspace(a, b, 65)
-        vs = np.polyval(np.asarray(cs), xs)
-        flips = np.where(np.sign(vs[:-1]) * np.sign(vs[1:]) < 0)[0]
-        if flips.size == 0:
-            return 0.5 * (a + b)
-        a, b = xs[flips[0]], xs[flips[0] + 1]
-        f_lo = vs[flips[0]]
     for _ in range(80):
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0.0:
             return m
-        if same_sign(fm, f_lo):
-            a, f_lo = m, fm
-        else:
+        if (fm > 0) == (v_hi > 0):
             b = m
+        else:
+            a = m
     return 0.5 * (a + b)
 
 
 def _critical_candidates(src: Poly, a: Fraction, b: Fraction) -> list[Fraction]:
     """Rational approximations of the roots of ``src`` inside [a, b].
 
-    Exact Sturm isolation at every degree, then float bisection inside
+    Exact Sturm isolation at every degree, then ``_refine_root`` inside
     each isolating bracket.  Every candidate is clipped to the interval,
-    so exact evaluation at a candidate never leaves it.
+    so exact evaluation at a candidate never leaves it.  A root of even
+    multiplicity may come back as any point of its bracket; the sup
+    sides lose nothing by that.  There src is P' or P + 2zP', and the
+    objectives P^2 and zP^2 have derivatives 2PP' and P(P + 2zP'),
+    which keep their sign through such a root unless P, and with it the
+    objective, is 0 there: the root is no interior maximum.
     """
     return [
         min(max(Fraction(_refine_root(src, lo, hi)), a), b)

@@ -266,16 +266,14 @@ def lifted_field_from_mode(data: ExteriorModeData, config: SolverConfig) -> Radi
     )
 
 
-def gaussian_bump(
-    config: SolverConfig, amplitude: float, width: float, lifted_dim: int = 3
-) -> RadialGridField:
-    """Even Gaussian position data with zero velocity."""
+def gaussian_bump(config: SolverConfig, amplitude: float, width: float) -> RadialGridField:
+    """Even Gaussian position data with zero velocity, in d = 3."""
     r = config.radial_grid()
     return RadialGridField(
         r=r,
         u=amplitude * np.exp(-((r / width) ** 2)),
         ut=np.zeros_like(r),
-        lifted_dim=lifted_dim,
+        lifted_dim=3,
         descriptor=None,
     )
 

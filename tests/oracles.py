@@ -379,36 +379,25 @@ def isolate_real_roots_reference(chain, a: Fraction, b: Fraction, max_depth: int
     return brackets
 
 
-def refine_root_reference(coeffs, lo: Fraction, hi: Fraction) -> float:
-    """Float bisection of a bracket with np.polyval, nudging a zero left end inward."""
+def refine_root_reference(coeffs, lo: Fraction, hi: Fraction) -> Fraction | float:
+    """``hi`` if the coefficients vanish there (`Fraction` Horner); else 80
+    np.polyval bisection steps, keeping the half whose sign differs from that at ``hi``."""
+    hi_value = Fraction(0)
+    for c in reversed(coeffs):
+        hi_value = hi_value * hi + c
+    if hi_value == 0:
+        return hi
     pf = np.asarray([float(c) for c in coeffs][::-1])
     a, b = float(lo), float(hi)
-    f_hi = np.polyval(pf, b)
-    if f_hi == 0.0:
-        return b
-    f_lo = np.polyval(pf, a)
-    step = (b - a) * 2.0**-24
-    while f_lo == 0.0 and a + step < b:
-        a += step
-        f_lo = np.polyval(pf, a)
-        step *= 2.0
-    if f_lo == 0.0 or np.sign(f_lo) == np.sign(f_hi):
-        xs = np.linspace(a, b, 65)
-        vs = np.polyval(pf, xs)
-        flips = np.where(np.sign(vs[:-1]) * np.sign(vs[1:]) < 0)[0]
-        if flips.size == 0:
-            return 0.5 * (a + b)
-        a, b = xs[flips[0]], xs[flips[0] + 1]
-        f_lo = vs[flips[0]]
     for _ in range(80):
         m = 0.5 * (a + b)
         fm = np.polyval(pf, m)
         if fm == 0.0:
             return m
-        if np.sign(fm) == np.sign(f_lo):
-            a, f_lo = m, fm
-        else:
+        if np.sign(fm) == (1 if hi_value > 0 else -1):
             b = m
+        else:
+            a = m
     return 0.5 * (a + b)
 
 

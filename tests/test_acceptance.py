@@ -224,7 +224,7 @@ def test_criterion_10_nonlinear_pipeline_exponents():
     cfg = rs.SolverConfig(r_max=72.0, n_r=3601, t_final=4.0)
     fld = rs.lifted_field_from_mode(mode, cfg)
     report = dl.nonlinear_decay_pipeline(
-        fld, "defocusing_quintic", 1.0, [2.0, 4.0, 8.0, 16.0, 32.0]
+        fld, "defocusing_quintic", [2.0, 4.0, 8.0, 16.0, 32.0]
     )
     elapsed = time.time() - start
 

@@ -209,8 +209,8 @@ class TestEnvelopeOracle:
         assert np.array_equal(S, want) and flag == interpolated
 
 
-def one_over_r_field(r_max: float, n_r: int) -> rs.RadialGridField:
-    mode = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[1.0])
+def one_over_r_field(r_max: float, n_r: int, A: float = 1.0) -> rs.RadialGridField:
+    mode = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[A])
     cfg = rs.SolverConfig(r_max=r_max, n_r=n_r, t_final=1.0)
     return rs.lifted_field_from_mode(mode, cfg)
 
@@ -220,7 +220,7 @@ def report():
     fld = one_over_r_field(72.0, 3601)
     probes = [2.0, 4.0, 8.0, 16.0, 32.0]
     return dl.nonlinear_decay_pipeline(
-        fld, "defocusing_quintic", R=1.0, probe_radii=probes
+        fld, "defocusing_quintic", probe_radii=probes
     )
 
 
@@ -276,65 +276,43 @@ class TestPipeline:
     def test_deterministic(self, report):
         fld = one_over_r_field(72.0, 3601)
         again = dl.nonlinear_decay_pipeline(
-            fld, "defocusing_quintic", R=1.0, probe_radii=[2.0, 4.0, 8.0, 16.0, 32.0]
+            fld, "defocusing_quintic", probe_radii=[2.0, 4.0, 8.0, 16.0, 32.0]
         )
         assert np.array_equal(again.l6_report.values, report.l6_report.values)
         assert np.array_equal(again.s_report.values, report.s_report.values)
 
-    def test_exploratory_gaussian(self):
+    def test_gaussian_without_descriptor_refused(self):
         cfg = rs.SolverConfig(r_max=24.0, n_r=1201, t_final=1.0)
         r = cfg.radial_grid()
         fld = rs.RadialGridField(r=r, u=np.exp(-(r**2)), ut=np.zeros_like(r), lifted_dim=3)
-        probes = [1.0, 1.5, 2.25, 3.375]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no exterior descriptor"):
             dl.nonlinear_decay_pipeline(
-                fld, "defocusing_quintic", R=1.0, probe_radii=probes, t_final=2.0
+                fld, "defocusing_quintic", probe_radii=[1.0, 1.5, 2.25, 3.375], t_final=2.0
             )
-        rep = dl.nonlinear_decay_pipeline(
-            fld,
-            "defocusing_quintic",
-            R=1.0,
-            probe_radii=probes,
-            t_final=2.0,
-            exploratory=True,
-        )
-        assert np.all(rep.s_report.values > 0)
-        assert np.all(np.diff(rep.s_report.values) < 0)
-        assert rep.dr_u0_report.truncated
-        assert math.isfinite(rep.s_report.exponent) and rep.s_report.exponent > 0
 
     def test_validation(self):
         fld = one_over_r_field(72.0, 3601)
         with pytest.raises(ValueError):
             dl.nonlinear_decay_pipeline(
-                fld, "defocusing_quintic", R=1.0, probe_radii=[2.0, 4.0, 8.0]
+                fld, "defocusing_quintic", probe_radii=[2.0, 4.0, 8.0]
             )
         with pytest.raises(ValueError):
             dl.nonlinear_decay_pipeline(
-                fld, "defocusing_quintic", R=1.0, probe_radii=[2.0, 4.0, 8.0, 80.0]
+                fld, "defocusing_quintic", probe_radii=[2.0, 4.0, 8.0, 80.0]
             )
         with pytest.raises(ValueError):
             dl.nonlinear_decay_pipeline(
-                fld, "defocusing_quintic", R=1.0, probe_radii=[4.0, 2.0, 8.0, 16.0]
+                fld, "defocusing_quintic", probe_radii=[4.0, 2.0, 8.0, 16.0]
             )
         small = one_over_r_field(40.0, 2001)
         with pytest.raises(ValueError, match="grid too small"):
             dl.nonlinear_decay_pipeline(
-                small, "defocusing_quintic", R=1.0, probe_radii=[2.0, 4.0, 8.0, 16.0, 32.0]
+                small, "defocusing_quintic", probe_radii=[2.0, 4.0, 8.0, 16.0, 32.0]
             )
 
     def test_blowup_reported(self):
-        cfg = rs.SolverConfig(r_max=30.0, n_r=901, t_final=1.0)
-        r = cfg.radial_grid()
-        fld = rs.RadialGridField(
-            r=r, u=8.0 * np.exp(-(r**2)), ut=np.zeros_like(r), lifted_dim=3
-        )
-        with pytest.raises(ValueError, match="blew up"):
+        fld = one_over_r_field(30.0, 901, A=2.0)
+        with pytest.raises(rs.NumericalError, match="blew up"):
             dl.nonlinear_decay_pipeline(
-                fld,
-                "focusing_quintic",
-                R=1.0,
-                probe_radii=[1.0, 1.5, 2.25, 3.375],
-                t_final=2.0,
-                exploratory=True,
+                fld, "focusing_quintic", probe_radii=[1.0, 1.5, 2.25, 3.375], t_final=2.0
             )

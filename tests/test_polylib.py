@@ -365,6 +365,23 @@ class TestRootIsolation:
         lhs = float(lemma_check(P, "sup_even", 3).lhs)
         assert lhs == pytest.approx(dense, rel=1e-6)
 
+    def test_root_at_the_right_end_is_exact(self):
+        # 3z - 1 vanishes at 1/3, which no float holds
+        assert pl._refine_root(Poly([-1, 3]), Fraction(0), Fraction(1, 3)) == Fraction(1, 3)
+
+    def test_sup_odd_critical_point_at_a_bracket_end(self):
+        # P' = (8z - 1)(4z - 3)/12; the first bisection of (0, 3/2] puts
+        # the root 3/4 at the right end of the bracket (3/8, 3/4]
+        P = [-1, Fraction(1, 4), Fraction(-7, 6), Fraction(8, 9)]
+        assert lemma_check(P, "sup_odd", Fraction(3, 2)).lhs == Fraction(1225, 1024)
+
+    def test_even_multiplicity_critical_roots(self):
+        # P = (z - 1)^3: P' = 3(z - 1)^2 and P + 2zP' = (z - 1)^2 (7z - 1)
+        # have a double root at 1, where P is monotone, so both sups sit at z = 2
+        p = Poly([-1, 3, -3, 1])
+        assert lemma_check(p, "sup_odd", 2).lhs == 1
+        assert lemma_check(p, "sup_even", 2).lhs == 2
+
 
     def test_sup_even_reaches_the_critical_value_above_degree_15(self):
         # degree 17 on [0, 2]: a Chebyshev-sampled sign change plus one
