@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
 from .radial_solver import (
     NumericalError,
@@ -108,7 +107,45 @@ def _clipped_integral(x: np.ndarray, f: np.ndarray, lo: float, hi: float) -> flo
     fs = np.interp(xs, x, f)
     if xs.size < 4:
         return float(np.trapezoid(fs, x=xs))
-    return float(integrate.simpson(fs, x=xs))
+    return float(_simpson(fs, xs))
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
+    """Composite Simpson on strictly increasing nodes x, N >= 3.
+
+    The 1-d case of scipy.integrate.simpson (scipy 1.11 on), in its own
+    operations and order, so it returns the same bits: parabolas over
+    pairs of intervals and, for an even node count, Cartwright's
+    correction for the last interval.  Two steps of scipy's change no
+    value here and are left out: its zero-denominator guards, since the
+    nodes strictly increase, and its final + 0.0, since the result is
+    never -0.0 (the term of y[-3] puts a +0.0 into the sum whenever the
+    correction could be -0.0).
+    """
+    N = y.size
+    h = np.diff(x)
+    stop = N - 3 if N % 2 == 0 else N - 2
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (
+        y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+        + y[1 : stop + 1 : 2] * (hsum * (hsum / hprod))
+        + y[2 : stop + 2 : 2] * (2.0 - h0divh1)
+    )
+    result = np.sum(tmp)
+    if N % 2:
+        return result
+    # The last two spacings as 0-d arrays, as scipy holds them: an array's
+    # ** 2 is a square and its ** 3 numpy's power loop, where a float64
+    # scalar's go through the C library's pow and differ in the last bit.
+    g0, g1 = np.squeeze(h[-2:-1]), np.squeeze(h[-1:])
+    alpha = (2 * g1**2 + 3 * g0 * g1) / (6 * (g1 + g0))
+    beta = (g1**2 + 3.0 * g0 * g1) / (6 * g0)
+    eta = g1**3 / (6 * g0 * (g0 + g1))
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
 
 
 def tail_S(profile: RadiationProfile, r: float) -> float:

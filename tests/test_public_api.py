@@ -8,7 +8,10 @@ alone, so a clash between two modules can only let a name through.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,3 +87,19 @@ def test_every_public_name_is_reached_or_kept():
     assert not extra, f"public names reached only by tests: {extra}"
     stale = sorted(set(KEPT) - set(unreached))
     assert not stale, f"kept names that are reached now, drop them from KEPT: {stale}"
+
+
+def test_the_package_imports_without_scipy():
+    # scipy is a test dependency: importing the console entry point, which
+    # loads every module, must not pull it in (it is most of a cold start)
+    code = (
+        "import pkgutil, sys, wavechannel, wavechannel.cli\n"
+        "for m in pkgutil.iter_modules(wavechannel.__path__):\n"
+        "    __import__('wavechannel.' + m.name)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

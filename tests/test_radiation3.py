@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import erfc
 
 from wavechannel import exterior_basis as eb
@@ -194,6 +195,62 @@ class TestModeRadiation:
         assert p.norm2() > 1e-3
         outside = np.abs(p.s) > 1.0
         assert np.max(np.abs(p.g[outside])) <= 1e-15
+
+
+def same_bits(got, want):
+    return float(got).hex() == float(want).hex()
+
+
+class TestSimpsonPort:
+    """radiation3._simpson returns scipy.integrate.simpson's bits, signed zeros included."""
+
+    @staticmethod
+    def scipy_simpson(y, x):
+        return integrate.simpson(y, x=x)
+
+    def test_random_nodes(self):
+        rng = np.random.default_rng(2101)
+        for n in range(4, 61):
+            for _ in range(24):
+                # spacings over three decades, so h0 / h1 ranges widely
+                x = np.cumsum(10.0 ** rng.uniform(-3, 0, n)) - rng.uniform(0, 10)
+                y = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+                assert same_bits(rad._simpson(y, x), self.scipy_simpson(y, x)), (n, x, y)
+            for y in (np.zeros(n), np.full(n, -0.0)):
+                assert same_bits(rad._simpson(y, x), self.scipy_simpson(y, x)), (n, y[0])
+
+    def test_clipped_windows(self, monkeypatch):
+        # the windows _clipped_integral forms: a uniform grid with a cut
+        # point inside a cell, on a node or past an end at each side
+        port, checked = rad._simpson, []
+
+        def against_scipy(y, x):
+            got = port(y, x)
+            assert same_bits(got, self.scipy_simpson(y, x)), (x, y)
+            checked.append(y.size)
+            return got
+
+        monkeypatch.setattr(rad, "_simpson", against_scipy)
+        rng = np.random.default_rng(2102)
+        for n in range(4, 61):
+            x = np.linspace(-rng.uniform(1, 12), rng.uniform(1, 12), n)
+            f = np.exp(-rng.uniform(0.1, 3) * x**2)
+            for _ in range(12):
+                lo = rng.choice([rng.uniform(x[0], x[-1]), x[rng.integers(n)], x[0] - 1.0, -np.inf])
+                hi = rng.choice([rng.uniform(x[0], x[-1]), x[rng.integers(n)], x[-1] + 1.0, np.inf])
+                rad._clipped_integral(x, f, lo, hi)
+        assert len(checked) > 400
+        assert {size % 2 for size in checked} == {0, 1}
+
+    def test_readme_radiation_tails(self, monkeypatch):
+        # `wavechannel radiation --gaussian 1.0 1.5` at its default grid and radii
+        r = np.linspace(0.0, 16.0, 1601)
+        u0 = 1.0 * np.exp(-((r / 1.5) ** 2))
+        profile = rad.forward_map(r, u0, np.zeros_like(r))
+        radii = (1.0, 2.0, 4.0, 8.0)
+        tails = [profile.tail2(x) for x in radii]
+        monkeypatch.setattr(rad, "_simpson", self.scipy_simpson)
+        assert all(same_bits(got, profile.tail2(x)) for got, x in zip(tails, radii))
 
 
 class TestExtrapolation:
