@@ -33,10 +33,9 @@ def main(argv=None) -> int:
         params = RecursionParams(alpha, l, 0.1 * (1 - 1 / l) * alpha)
         tail = gamma_sequence(params, 200)[-1]
         report = worst_case_S(params, 1.0, args.r_over_R)
-        note = " (interpolated probes)" if report.probes_interpolated else ""
         print(
             f"{alpha:>6.3f} {l:>5.2f} {params.gamma_star:>8.4f} {tail:>10.7f} "
-            f"{report.exponent:>9.4f} {report.residual:>9.2e}{note}"
+            f"{report.exponent:>9.4f} {report.residual:>9.2e}"
         )
     return 0
 

@@ -20,9 +20,10 @@ latter with the diagnostic written to the JSON artifact.
 CSV columns: trajectories (t, r, u, ut); energy series (t, E_ext) or
 (t, E_total); radiation profiles (s, g); decay tables (r, value).
 Floats are printed with 17 significant digits (%.17g, the bytes of
-format(v, ".17g")), so identical config and seed reproduce artifacts
-byte for byte.  A table is formatted from its columns one row template
-per block of rows, and streamed to disk block by block.
+format(v, ".17g")), so an identical config (lemmas, the one subcommand
+that draws, holds its seed there) reproduces artifacts byte for byte.
+A table is formatted from its columns one row template per block of
+rows, and streamed to disk block by block.
 """
 
 from __future__ import annotations
@@ -444,20 +445,18 @@ def _run_radiation(cfg: dict, base: Path) -> dict:
     r = np.linspace(0.0, cfg["r_max"], cfg["n_r"])
     if cfg.get("gaussian") is not None:
         amp, width = cfg["gaussian"]
-        u0 = amp * np.exp(-((r / width) ** 2))
-        u1 = np.zeros_like(r)
-        profile = rad.forward_map(r, u0, u1)
-        isometry: Optional[float] = rad.isometry_ratio(r, u0, u1)
+        u0, u1, du0 = amp * np.exp(-((r / width) ** 2)), np.zeros_like(r), None
     else:
         mode = _mode_from_cfg(cfg)
         if mode.spec.d != 3 or mode.spec.nu != 0:
             raise UsageError("the radiation map takes d = 3 radial data (nu = 0)")
         vals = eb.eval_extended(mode, r)
-        profile = rad.forward_map(r, vals.u0, vals.u1, du0=vals.du0_dr)
-        try:
-            isometry = rad.isometry_ratio(r, vals.u0, vals.u1, du0=vals.du0_dr)
-        except ValueError:
-            isometry = None  # radiation-free data has no ratio
+        u0, u1, du0 = vals.u0, vals.u1, vals.du0_dr
+    profile = rad.forward_map(r, u0, u1, du0=du0)
+    try:
+        isometry: Optional[float] = rad.isometry_ratio(r, u0, u1, du0=du0)
+    except ValueError:
+        isometry = None  # radiation-free data has no ratio
     csv_path = _with_ext(base, ".csv")
     _write_csv(csv_path, ("s", "g"), profile.s, profile.g)
     radii = cfg["tail_radii"] if cfg["tail_radii"] is not None else [1.0, 2.0, 4.0, 8.0]
@@ -518,11 +517,7 @@ def _run_pipeline(cfg: dict, base: Path) -> dict:
         "gradient_tail": (rep.dr_u0_report, ".dru0.csv"),
         "sixth_power_tail": (rep.l6_report, ".l6.csv"),
     }
-    out: dict[str, Any] = {
-        "cutoff": list(rep.cutoff),
-        "t_end": rep.t_end,
-        "floor_tol": rep.floor_tol,
-    }
+    out: dict[str, Any] = {"cutoff": list(rep.cutoff), "t_end": rep.t_end}
     for name, (table, ext) in tables.items():
         csv_path = _with_ext(base, ext)
         _write_csv(csv_path, ("r", "value"), table.r, table.values)

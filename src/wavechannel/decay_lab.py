@@ -31,9 +31,12 @@ from .radial_solver import (
 from .radiation3 import _gradient4, forward_map, tail_S
 
 # "r2 >> r1 >> R" on the grid: r1 >= INNER_FACTOR * R and
-# r2 >= SEPARATION_FACTOR * r1.  Reported alongside every envelope.
+# r2 >= SEPARATION_FACTOR * r1.
 INNER_FACTOR = 4.0
 SEPARATION_FACTOR = 4.0
+# the envelope's geometric grid R * GRID_RATIO^i, and S on its initial band
+GRID_RATIO = 1.05
+SEED_VALUE = 0.499
 # most candidate cells one block of envelope rows holds at once
 _BLOCK_CELLS = 1 << 16
 
@@ -115,7 +118,6 @@ class DecayReport:
     exponent: float
     residual: float
     truncated: bool = False
-    probes_interpolated: bool = False
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r, dtype=float)
@@ -134,23 +136,17 @@ class DecayReport:
         return tuple(zip(self.r.tolist(), self.values.tolist()))
 
 
-def worst_case_S(
-    params: RecursionParams,
-    R: float,
-    r_max: float,
-    grid_ratio: float = 1.05,
-    seed_value: float = 0.499,
-) -> DecayReport:
+def worst_case_S(params: RecursionParams, R: float, r_max: float) -> DecayReport:
     """Extremal S saturating the recursion on a geometric grid.
 
-    Radii run over R * grid_ratio^i.  Below 16 R no constraint applies
-    and S holds the seed value; on the band [4 R, (4 R -> 4^l in units
+    Radii run over R * GRID_RATIO^i.  Below 16 R no constraint applies
+    and S holds SEED_VALUE; on the band [4 R, (4 R -> 4^l in units
     of R)] the seed bound also caps S; elsewhere S(r2) equals the
     binding constraint, the minimum over admissible r1 of
     (1/2)(r1/r2)^alpha + (1/2) S^l(r1).  Candidates are the grid points
     in [4 R, r2/4] plus the interval endpoints and the two analytic
     probe radii r2^(1/l) and r2^(alpha/(alpha + gamma* l)), evaluated
-    by log-log interpolation (probes_interpolated reports their use).
+    by log-log interpolation.
 
     A row's window ends at r2/4, well below the row, so a run of rows
     whose windows all close below its first row takes its grid minimum
@@ -164,32 +160,22 @@ def worst_case_S(
     """
     if not R > 0:
         raise ValueError("R must be positive")
-    if not grid_ratio > 1:
-        raise ValueError("grid_ratio must exceed 1")
-    if not 0 <= seed_value < 0.5:
-        raise ValueError("the seed must satisfy S < 1/2 on the initial band")
     x_max = r_max / R
     if x_max < 160.0:
         raise ValueError("r_max must reach at least 160 R for a fitted decade")
-    x, S, interpolated = _extremal_S(params, x_max, grid_ratio, seed_value)
+    x, S = _extremal_S(params, x_max, GRID_RATIO, SEED_VALUE)
     decade = x >= x[-1] / 10.0
     good = decade & (S > 0)
     if int(np.sum(good)) < 4:
         raise ValueError("no positive samples to fit in the final decade")
     fit = fit_exponent(np.column_stack([x[good], S[good]]))
-    return DecayReport(
-        r=x * R,
-        values=S,
-        exponent=fit.beta,
-        residual=fit.residual,
-        probes_interpolated=interpolated,
-    )
+    return DecayReport(r=x * R, values=S, exponent=fit.beta, residual=fit.residual)
 
 
 def _extremal_S(
     params: RecursionParams, x_max: float, grid_ratio: float, seed_value: float
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(x, S, probes_interpolated) of the extremal envelope on grid_ratio^i <= x_max."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, S) of the extremal envelope on grid_ratio^i <= x_max."""
     n = int(math.floor(math.log(x_max) / math.log(grid_ratio)))
     x = grid_ratio ** np.arange(n + 1)
     logx = np.log(x).tolist()
@@ -197,7 +183,6 @@ def _extremal_S(
     alpha, l = params.alpha, params.l
     start = INNER_FACTOR * SEPARATION_FACTOR
     band_top = INNER_FACTOR**l
-    interpolated = False
     # admissible grid r1 of row i: indices first <= j < ends[i], all below i
     first = int(np.searchsorted(x, INNER_FACTOR))
     ends = np.searchsorted(x, x / SEPARATION_FACTOR, side="right")
@@ -240,7 +225,6 @@ def _extremal_S(
             ]
             for p in probes:
                 if INNER_FACTOR <= p <= hi:
-                    interpolated = True
                     sp = s_interp(p, row)
                     best = min(best, 0.5 * (p / xi) ** alpha + 0.5 * sp**l)
             if xi <= band_top:
@@ -248,7 +232,7 @@ def _extremal_S(
             S.append(best)
             logs.append(math.log(max(best, 1e-300)))
         i = e
-    return x, np.array(S), interpolated
+    return x, np.array(S)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +266,6 @@ class PipelineReport:
     l6_report: DecayReport
     cutoff: tuple[float, float]
     t_end: float
-    floor_tol: float
 
 
 def nonlinear_decay_pipeline(
@@ -388,5 +371,4 @@ def nonlinear_decay_pipeline(
         l6_report=l6_report,
         cutoff=(c0, c1),
         t_end=float(traj.times[-1]),
-        floor_tol=floor_tol,
     )

@@ -34,12 +34,9 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .exterior_basis import ExteriorModeData, ModeSpec
+from .exterior_basis import POSITION, VELOCITY, ExteriorModeData, ModeSpec, max_admissible_k
 
 ArrayLike = Union[float, np.ndarray]
-
-POSITION = "position"
-VELOCITY = "velocity"
 
 # (coefficient, t power, r power) with exact rational coefficient
 Monomial = tuple[Fraction, int, int]
@@ -47,15 +44,6 @@ Monomial = tuple[Fraction, int, int]
 IntMonomial = tuple[int, int, int]
 # the same with the coefficient rounded to a float
 FloatMonomial = tuple[float, int, int]
-
-
-def max_admissible_k(D: int, kind: str) -> int:
-    """Largest k whose chain has finite exterior energy in dimension D."""
-    if kind == POSITION:
-        return (D + 1) // 4
-    if kind == VELOCITY:
-        return (D - 1) // 4
-    raise ValueError(f"kind must be {POSITION!r} or {VELOCITY!r}, got {kind!r}")
 
 
 @dataclass(frozen=True)

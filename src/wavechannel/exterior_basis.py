@@ -33,6 +33,18 @@ ArrayLike = Union[float, np.ndarray]
 
 _Z = Poly([0, 1])
 
+POSITION = "position"
+VELOCITY = "velocity"
+
+
+def max_admissible_k(D: int, kind: str) -> int:
+    """Largest k whose chain has finite exterior energy in dimension D."""
+    if kind == POSITION:
+        return (D + 1) // 4
+    if kind == VELOCITY:
+        return (D - 1) // 4
+    raise ValueError(f"kind must be {POSITION!r} or {VELOCITY!r}, got {kind!r}")
+
 
 @dataclass(frozen=True)
 class ModeSpec:
@@ -64,30 +76,30 @@ class ModeSpec:
     @property
     def k1_max(self) -> int:
         """Number of admissible position monomials."""
-        s = self.mu + self.nu
-        return (s + 1) // 2 if self.is_odd else s // 2
+        return max_admissible_k(self.lifted_dim, POSITION)
 
     @property
     def k2_max(self) -> int:
         """Number of admissible velocity monomials."""
-        s = self.mu + self.nu
-        return s // 2 if self.is_odd else (s - 1) // 2
+        return max_admissible_k(self.lifted_dim, VELOCITY)
 
     @property
     def p_exponents(self) -> tuple[int, ...]:
-        """Exponents of z in P, indexed by k1 = 1..k1_max."""
-        base = self.mu + self.nu + (1 if self.is_odd else 0)
-        exps = tuple(base - 2 * k1 for k1 in range(1, self.k1_max + 1))
-        assert all(e >= 0 for e in exps)
-        return exps
+        """Exponents e of z in P, indexed by k1 = 1..k1_max.
+
+        r^(-mu) z^e is r^nu times the lifted power r^(2 k1 - D).
+        """
+        base = self.d + self.nu - self.mu
+        return tuple(base - 2 * k1 for k1 in range(1, self.k1_max + 1))
 
     @property
     def q_exponents(self) -> tuple[int, ...]:
-        """Exponents of z in Q, indexed by k2 = 1..k2_max."""
-        base = self.mu + self.nu - (0 if self.is_odd else 1)
-        exps = tuple(base - 2 * k2 for k2 in range(1, self.k2_max + 1))
-        assert all(e >= 0 for e in exps)
-        return exps
+        """Exponents e of z in Q, indexed by k2 = 1..k2_max.
+
+        r^(-mu-1) z^e is r^nu times the lifted power r^(2 k2 - D).
+        """
+        base = self.d + self.nu - self.mu - 1
+        return tuple(base - 2 * k2 for k2 in range(1, self.k2_max + 1))
 
 
 @dataclass(frozen=True)

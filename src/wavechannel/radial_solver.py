@@ -178,6 +178,12 @@ class RadialGridField:
             raise ValueError("field values must be finite")
         if self.lifted_dim < 2:
             raise ValueError("lifted dimension must be >= 2")
+        desc = self.descriptor
+        if desc is not None and desc.terms and desc.lifted_dim != self.lifted_dim:
+            raise ValueError(
+                f"descriptor of lifted dimension {desc.lifted_dim} "
+                f"on a field of lifted dimension {self.lifted_dim}"
+            )
 
     @property
     def dr(self) -> float:

@@ -103,8 +103,10 @@ def _clipped_integral(x: np.ndarray, f: np.ndarray, lo: float, hi: float) -> flo
     hi = min(hi, float(x[-1]))
     if hi <= lo:
         return 0.0
-    xs = np.unique(np.concatenate([[lo], x[(x > lo) & (x < hi)], [hi]]))
-    fs = np.interp(xs, x, f)
+    inside = (x > lo) & (x < hi)
+    f_lo, f_hi = np.interp((lo, hi), x, f)
+    xs = np.concatenate([[lo], x[inside], [hi]])
+    fs = np.concatenate([[f_lo], f[inside], [f_hi]])
     if xs.size < 4:
         return float(np.trapezoid(fs, x=xs))
     return float(_simpson(fs, xs))

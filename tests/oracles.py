@@ -442,13 +442,14 @@ def cone_energy_terms_reference(monomials, D: int) -> list[tuple[Fraction, int, 
 
 
 def worst_case_S_reference(params, R: float, r_max: float, grid_ratio: float = 1.05,
-                           seed_value: float = 0.499) -> tuple[np.ndarray, bool]:
-    """(S, probes_interpolated) of the extremal envelope, one row at a time.
+                           seed_value: float = 0.499) -> np.ndarray:
+    """S of the extremal envelope, one row at a time.
 
     Each row masks the admissible r1 out of the whole built prefix and
     forms its candidates afresh; the probes interpolate through
-    `np.searchsorted` on the prefix.  The grid and rules are those of
-    `decay_lab.worst_case_S`.
+    `np.searchsorted` on the prefix.  The rules are those of
+    `decay_lab.worst_case_S`, whose grid ratio and seed value are the
+    defaults here.
     """
     inner = sep = 4.0
     n = int(math.floor(math.log(r_max / R) / math.log(grid_ratio)))
@@ -457,7 +458,6 @@ def worst_case_S_reference(params, R: float, r_max: float, grid_ratio: float = 1
     S = np.empty(n + 1)
     alpha, l = params.alpha, params.l
     gstar = params.gamma_star
-    interpolated = False
 
     def s_interp(p: float, i: int) -> float:
         j = int(np.searchsorted(logx[:i], math.log(p)))
@@ -483,13 +483,12 @@ def worst_case_S_reference(params, R: float, r_max: float, grid_ratio: float = 1
             best = float(np.min(cand))
         for p in (inner, hi, xi ** (1.0 / l), xi ** (alpha / (alpha + gstar * l))):
             if inner <= p <= hi:
-                interpolated = True
                 sp = s_interp(p, i)
                 best = min(best, 0.5 * (p / xi) ** alpha + 0.5 * sp**l)
         if xi <= inner**l:
             best = min(best, seed_value)
         S[i] = best
-    return S, interpolated
+    return S
 
 
 def write_csv_reference(path: Path, header, rows) -> None:

@@ -1,6 +1,7 @@
 """Contract tests for the command line: exit codes, artifacts, determinism."""
 
 import argparse
+import ast
 import dataclasses
 import json
 import re
@@ -149,6 +150,27 @@ class TestSchemas:
         text = capsys.readouterr().out
         for key in cli._schema(sub)["properties"]:
             assert f"--{key.replace('_', '-')} " in text, (sub, key)
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_every_property_is_read_by_its_handler(self, sub):
+        # a key counts as read when it is a string in the handler or in a
+        # cli function that the handler calls by name, directly or in turn;
+        # `run` reads "out" for every subcommand
+        source = Path(cli.__file__).read_text()
+        functions = {f.name: f for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)}
+        seen, todo, read = set(), [cli._HANDLERS[sub].__name__], {"out"}
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            for node in ast.walk(functions[name]):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+                elif isinstance(node, ast.Name) and node.id in functions:
+                    todo.append(node.id)
+        unread = set(cli._schema(sub)["properties"]) - read
+        assert not unread, f"{sub} accepts {sorted(unread)} but never reads them"
 
     def test_pipeline_takes_only_config_and_out(self, capsys):
         assert run(["pipeline", "--help"]) == 0
@@ -344,6 +366,13 @@ class TestRadiation:
         assert run(["radiation", "--d", "3", "--A", "0.0"]) == 0
         rep = read_json(outdir, "radiation.json")["report"]
         assert rep["norm2"] == 0.0
+        assert rep["isometry_ratio"] is None
+
+    def test_zero_gaussian_has_no_isometry_ratio(self, outdir):
+        # zero data from either source is radiation-free and reads null
+        assert run("radiation --gaussian 0 1.5".split()) == 0
+        rep = read_json(outdir, "radiation.json")["report"]
+        assert rep["norm2"] == 0.0 and rep["charge"] == 0.0
         assert rep["isometry_ratio"] is None
 
     def test_higher_mode_rejected(self, capsys):

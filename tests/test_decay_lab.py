@@ -139,24 +139,24 @@ class TestDecayReport:
 class TestWorstCase:
     def test_canonical_exponent_band(self):
         p = dl.RecursionParams(alpha=1.0, l=5.0, gamma0=0.1)
-        rep = dl.worst_case_S(p, R=1.0, r_max=1e6, grid_ratio=1.05)
+        rep = dl.worst_case_S(p, R=1.0, r_max=1e6)
         # the extremal sits at gamma* up to an O(1/log r) amplitude drift
         assert abs(rep.exponent - 0.8) <= 0.02
         assert rep.exponent >= 0.8 - 0.02
-        assert rep.probes_interpolated
         assert np.all(np.diff(rep.values) <= 1e-15)
         assert np.all(rep.values <= 0.499 + 1e-15)
 
     def test_zero_seed_gives_pure_envelope(self):
         p = dl.RecursionParams(alpha=1.5, l=5.0, gamma0=0.1)
-        rep = dl.worst_case_S(p, R=1.0, r_max=1e6, seed_value=0.0)
+        x, S = dl._extremal_S(p, 1e6, dl.GRID_RATIO, 0.0)
         # with nothing to feed the S^l term the binding constraint is
         # the alpha envelope through the innermost admissible radius
-        assert rep.exponent == pytest.approx(1.5, rel=1e-9)
-        assert rep.residual <= 1e-9
-        x = rep.r[rep.r >= 16.0]
-        v = rep.values[rep.r >= 16.0]
-        assert np.all(v <= 0.5 * (4.0 / x) ** 1.5 + 1e-15)
+        decade = x >= x[-1] / 10.0
+        fit = dl.fit_exponent(np.column_stack([x[decade], S[decade]]))
+        assert fit.beta == pytest.approx(1.5, rel=1e-9)
+        assert fit.residual <= 1e-9
+        far = x >= 16.0
+        assert np.all(S[far] <= 0.5 * (4.0 / x[far]) ** 1.5 + 1e-15)
 
     def test_scale_invariance_in_R(self):
         p = dl.RecursionParams(alpha=1.0, l=5.0, gamma0=0.1)
@@ -174,11 +174,7 @@ class TestWorstCase:
     def test_validation(self):
         p = dl.RecursionParams(alpha=1.0, l=5.0, gamma0=0.1)
         with pytest.raises(ValueError):
-            dl.worst_case_S(p, R=1.0, r_max=1e6, grid_ratio=1.0)
-        with pytest.raises(ValueError):
             dl.worst_case_S(p, R=1.0, r_max=100.0)
-        with pytest.raises(ValueError):
-            dl.worst_case_S(p, R=1.0, r_max=1e6, seed_value=0.5)
         with pytest.raises(ValueError):
             dl.worst_case_S(p, R=-1.0, r_max=1e6)
 
@@ -192,21 +188,19 @@ class TestEnvelopeOracle:
         p = dl.RecursionParams(alpha, l, 0.1 * (1 - 1 / l) * alpha)
         for R in (0.7, 1.0, 2.0):
             for seed in (0.499, 0.0):
-                want, interpolated = worst_case_S_reference(p, R, 1e6, grid_ratio, seed)
-                x, S, flag = dl._extremal_S(p, 1e6 / R, grid_ratio, seed)
+                want = worst_case_S_reference(p, R, 1e6, grid_ratio, seed)
+                x, S = dl._extremal_S(p, 1e6 / R, grid_ratio, seed)
                 assert np.array_equal(x, grid_ratio ** np.arange(want.size))
-                assert np.array_equal(S, want) and flag == interpolated, (R, seed)
-                if grid_ratio < 4.5:  # a 4.5 grid has too few points to fit a decade
-                    rep = dl.worst_case_S(p, R, 1e6, grid_ratio, seed)
-                    assert np.array_equal(rep.values, want)
-                    assert rep.probes_interpolated == interpolated
+                assert np.array_equal(S, want), (R, seed)
+                if (grid_ratio, seed) == (dl.GRID_RATIO, dl.SEED_VALUE):
+                    assert np.array_equal(dl.worst_case_S(p, R, 1e6).values, want)
 
     def test_capped_blocks_on_a_fine_grid(self):
         # 1.005 puts about 280 rows in a block, so the cell cap splits them
         p = dl.RecursionParams(1.0, 5.0, 0.08)
-        want, interpolated = worst_case_S_reference(p, 1.0, 1e5, 1.005)
-        _, S, flag = dl._extremal_S(p, 1e5, 1.005, 0.499)
-        assert np.array_equal(S, want) and flag == interpolated
+        want = worst_case_S_reference(p, 1.0, 1e5, 1.005)
+        _, S = dl._extremal_S(p, 1e5, 1.005, 0.499)
+        assert np.array_equal(S, want)
 
 
 def one_over_r_field(r_max: float, n_r: int, A: float = 1.0) -> rs.RadialGridField:

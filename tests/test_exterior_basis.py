@@ -74,6 +74,19 @@ class TestModeSpec:
                 assert len(s.p_exponents) == s.k1_max
                 assert len(s.q_exponents) == s.k2_max
 
+    def test_lifted_forms_equal_the_parity_tables(self):
+        # the counts and exponents as first written, one branch per parity of d
+        for d in range(2, 40):
+            for nu in range(30):
+                s = eb.ModeSpec(d, nu)
+                odd, w = d % 2 == 1, s.mu + s.nu
+                k1 = (w + 1) // 2 if odd else w // 2
+                k2 = w // 2 if odd else (w - 1) // 2
+                p = tuple(w + odd - 2 * k for k in range(1, k1 + 1))
+                q = tuple(w - (not odd) - 2 * k for k in range(1, k2 + 1))
+                assert (s.k1_max, s.k2_max, s.p_exponents, s.q_exponents) == (k1, k2, p, q), (d, nu)
+                assert min(p + q, default=0) >= 0
+
 
 class TestRadialSpan:
     def test_d3(self):

@@ -69,6 +69,18 @@ class TestField:
         with pytest.raises(ValueError):
             rs.RadialGridField(r=bad, u=np.zeros(11), ut=np.zeros(11), lifted_dim=3)
 
+    def test_descriptor_shares_the_lifted_dimension(self):
+        # a D = 3 A/r field paired with a D = 5 descriptor would step
+        # with the wrong ghosts and report the wrong cone energy
+        cfg = rs.SolverConfig(r_max=16.0, n_r=801, t_final=1.0)
+        fld = rs.lifted_field_from_mode(one_over_r_mode(), cfg)
+        d5 = ev.descriptor_for_mode(eb.build_exterior_mode(eb.ModeSpec(5, 0), 1.0, A=[1.0], B=[0.0]))
+        with pytest.raises(ValueError, match="lifted dimension 5 on a field of lifted dimension 3"):
+            rs.RadialGridField(r=fld.r, u=fld.u, ut=fld.ut, lifted_dim=3, descriptor=d5)
+        # an empty descriptor has no dimension and fits every field
+        empty = ev.ExteriorDescriptor(terms=(), valid_radius=1.0)
+        rs.RadialGridField(r=fld.r, u=fld.u, ut=fld.ut, lifted_dim=5, descriptor=empty)
+
     @pytest.mark.parametrize("r_max", [16.0, 72.0, 128.0])
     def test_accepts_every_linspace_grid(self, r_max):
         # rounding in np.linspace jitters the steps by a few eps * r_max

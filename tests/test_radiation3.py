@@ -253,6 +253,33 @@ class TestSimpsonPort:
         assert all(same_bits(got, profile.tail2(x)) for got, x in zip(tails, radii))
 
 
+class TestClippedIntegral:
+    @staticmethod
+    def sorted_window_integral(x, f, lo, hi):
+        """The window as np.unique sorts it, every node interpolated."""
+        lo, hi = max(lo, float(x[0])), min(hi, float(x[-1]))
+        if hi <= lo:
+            return 0.0
+        xs = np.unique(np.concatenate([[lo], x[(x > lo) & (x < hi)], [hi]]))
+        fs = np.interp(xs, x, f)
+        if xs.size < 4:
+            return float(np.trapezoid(fs, x=xs))
+        return float(rad._simpson(fs, xs))
+
+    def test_same_bits_as_the_sorted_window(self):
+        # cuts inside a cell, on a node, past an end, and windows of 0 to 3 nodes
+        rng = np.random.default_rng(2201)
+        for n in (2, 3, 4, 5, 17, 200, 7201):
+            x = np.linspace(-rng.uniform(1, 40), rng.uniform(1, 40), n)
+            f = np.exp(-rng.uniform(0.01, 3) * x**2) * rng.standard_normal()
+            for _ in range(60):
+                lo, hi = (rng.choice([rng.uniform(x[0], x[-1]), x[rng.integers(n)], x[0] - 1.0, -np.inf])
+                          for _ in range(2))
+                hi = rng.choice([hi, lo + rng.uniform(0, 3) * (x[1] - x[0]), np.inf])
+                got = rad._clipped_integral(x, f, lo, hi)
+                assert same_bits(got, self.sorted_window_integral(x, f, lo, hi)), (n, lo, hi)
+
+
 class TestExtrapolation:
     def test_exact_on_cubic(self):
         xs = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
