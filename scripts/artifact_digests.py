@@ -2,15 +2,14 @@
 """Print a sha256 digest of every README artifact and script output.
 
 Runs the README's command lines (the pipeline with the README's JSON
-config), two finite-difference `evolve` variants and three modes beyond
-d = 3 through `wavechannel.cli.run` in a temporary directory, then runs the
-solver-facing scripts in this directory with their defaults and
-captures what they print.  It also captures the front end's own text:
-the top-level `--help`, each `<sub> --help`, and the exit code and
-stderr of a fixed list of bad invocations.  Each artifact, each
-script's stdout and each of those texts gets one `sha256  name` line.
-Two checkouts that print the same lines produce the same bytes, which
-is the contract a refactor must keep.
+config) and the variants listed beside them through `wavechannel.cli.run`
+in a temporary directory, then runs the solver-facing scripts in this
+directory with their defaults and captures what they print.  It also
+captures the front end's own text: the top-level `--help`, each
+`<sub> --help`, and the exit code and stderr of a fixed list of bad
+invocations.  Each artifact, each script's stdout and each of those
+texts gets one `sha256  name` line.  Two checkouts that print the same
+lines produce the same bytes, which is the contract a refactor must keep.
 Run it in the change and in a `git archive` of its parent (with this
 file copied into that scripts/), then compare:
 
@@ -59,6 +58,8 @@ class DigestConfig:
             # the README's evolve line is exact; these two go through the stepper
             "evolve --d 3 --A 1.0 --t-final 4 --out evolve_fd",
             "evolve --gaussian 1.0 1.5 --out evolve_gaussian",
+            # the README's radiation line is a Gaussian; this one maps the monopole mode
+            "radiation --A 1.0 --out radiation_mode",
             # beyond the README's d = 3: a degree-1 P with a lifted blend, three
             # chains (one of them a velocity chain) and the descriptor's
             # cross-term energy beyond the grid
@@ -87,7 +88,7 @@ class DigestConfig:
             ("pipeline_no_config", "pipeline"),
             ("pipeline_extra_flag", "pipeline --config x.json --t-final 2"),
             ("missing_config", "lemmas --config missing.json"),
-            ("refused_mode", "radiation --d 3 --nu 1"),
+            ("refused_exact_gaussian", "evolve --exact --gaussian 1 1.5"),
         ]
     )
 

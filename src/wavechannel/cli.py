@@ -1,6 +1,8 @@
 """Command-line front end: every module as a deterministic subcommand.
 
 Subcommands: lemmas, basis, evolve, energy, radiation, nlw, pipeline.
+radiation takes d = 3 data (a Gaussian, or the monopole mode R, A), nlw
+Gaussian data only, and no subcommand a Gaussian beside mode options.
 Each option is written once, as a property of schemas/<sub>.json: its
 type, range, default and help text live there, and the flags
 (--key-name for the property key_name) are generated from it.  Each
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -191,11 +193,18 @@ def _check_config_survives(config_path: Optional[str], base: Path) -> None:
         )
 
 
-def _numerical_guard(fn: Callable[[], Any]) -> Any:
+def _fail(report: dict, *tables: tuple[Path, Sequence[str]]) -> NoReturn:
+    """Exit 2 with `report`, each (path, header) table left header-only, not an earlier run's."""
+    for path, header in tables:
+        _write_csv(path, header)
+    raise NumericalFailure(report)
+
+
+def _numerical_guard(fn: Callable[[], Any], *tables: tuple[Path, Sequence[str]]) -> Any:
     try:
         return fn()
     except rs.NumericalError as e:
-        raise NumericalFailure({"reason": str(e)}) from e
+        _fail({"reason": str(e)}, *tables)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +278,10 @@ def _effective_config(sub: str, args: argparse.Namespace) -> dict:
             if isinstance(v, float) and not math.isfinite(v):
                 where = f"{key}/{i}" if isinstance(value, list) else key
                 raise UsageError(f"invalid configuration at {where}: {v!r} is not a finite number")
+    # Gaussian data is d = 3 with no mode coefficients (R always holds a value: not checked)
+    mode_set = cfg.get("d", 3) != 3 or cfg.get("nu") or cfg.get("A") or cfg.get("B")
+    if cfg.get("gaussian") is not None and mode_set:
+        raise UsageError("gaussian data is d = 3 data and takes no d, nu, A or B")
     return cfg
 
 
@@ -284,8 +297,7 @@ def _mode_from_cfg(cfg: dict) -> eb.ExteriorModeData:
 
 def _field_from_cfg(cfg: dict, config: rs.SolverConfig) -> rs.RadialGridField:
     if cfg.get("gaussian") is not None:
-        amp, width = cfg["gaussian"]
-        return rs.gaussian_bump(config, amp, width)
+        return rs.gaussian_bump(config, *cfg["gaussian"])
     return rs.lifted_field_from_mode(_mode_from_cfg(cfg), config)
 
 
@@ -411,33 +423,28 @@ def _run_evolve(cfg: dict, base: Path) -> dict:
     return report
 
 
-def _refuse_blow_up(traj: rs.Trajectory, csv_path: Path, header: Sequence[str]) -> None:
-    """Exit 2 on a run that blew up, leaving an empty table rather than a stale one."""
+def _refuse_blow_up(traj: rs.Trajectory, table: tuple[Path, Sequence[str]]) -> None:
+    """Exit 2 on a run that blew up, with its table header-only."""
     if traj.blown_up:
-        _write_csv(csv_path, header)
-        raise NumericalFailure(
-            {
-                "reason": f"the run blew up after t={float(traj.times[-1]):g}",
-                "last_stored_time": float(traj.times[-1]),
-            }
-        )
+        t_last = float(traj.times[-1])
+        _fail({"reason": f"the run blew up after t={t_last:g}", "last_stored_time": t_last}, table)
 
 
 def _run_energy(cfg: dict, base: Path) -> dict:
     config = _solver_config(cfg)
     fld = _field_from_cfg(cfg, config)
     traj = rs.solve_mode_linear(fld, config)
-    csv_path = _with_ext(base, ".csv")
-    _refuse_blow_up(traj, csv_path, ("t", "E_ext"))
-    series = _numerical_guard(lambda: rs.cone_energy(traj, cfg["cone_radius"]))
-    _write_csv(csv_path, ("t", "E_ext"), series.times, series.values)
+    table = (_with_ext(base, ".csv"), ("t", "E_ext"))
+    _refuse_blow_up(traj, table)
+    series = _numerical_guard(lambda: rs.cone_energy(traj, cfg["cone_radius"]), table)
+    _write_csv(*table, series.times, series.values)
     return {
         "cone_radius": cfg["cone_radius"],
         "initial": float(series.values[0]),
         "final": float(series.values[-1]),
         "max": float(np.max(series.values)),
         "truncated": series.truncated,
-        "csv": csv_path.name,
+        "csv": table[0].name,
     }
 
 
@@ -447,36 +454,30 @@ def _run_radiation(cfg: dict, base: Path) -> dict:
         amp, width = cfg["gaussian"]
         u0, u1, du0 = amp * np.exp(-((r / width) ** 2)), np.zeros_like(r), None
     else:
-        mode = _mode_from_cfg(cfg)
-        if mode.spec.d != 3 or mode.spec.nu != 0:
-            raise UsageError("the radiation map takes d = 3 radial data (nu = 0)")
+        mode = eb.build_exterior_mode(eb.ModeSpec(3, 0), cfg["R"], A=cfg["A"])
         vals = eb.eval_extended(mode, r)
         u0, u1, du0 = vals.u0, vals.u1, vals.du0_dr
     profile = rad.forward_map(r, u0, u1, du0=du0)
     try:
-        isometry: Optional[float] = rad.isometry_ratio(r, u0, u1, du0=du0)
+        isometry: Optional[float] = rad.isometry_ratio(profile, r, u0, u1, du0=du0)
     except ValueError:
         isometry = None  # radiation-free data has no ratio
     csv_path = _with_ext(base, ".csv")
     _write_csv(csv_path, ("s", "g"), profile.s, profile.g)
-    radii = cfg["tail_radii"] if cfg["tail_radii"] is not None else [1.0, 2.0, 4.0, 8.0]
     return {
         "charge": profile.mean(),
         "norm2": profile.norm2(),
         "isometry_ratio": isometry,
-        "tails": [{"r": x, "tail": rad.tail_S(profile, x)} for x in radii],
+        "tails": [{"r": x, "tail": rad.tail_S(profile, x)} for x in cfg["tail_radii"]],
         "csv": csv_path.name,
     }
 
 
 def _run_nlw(cfg: dict, base: Path) -> dict:
     config = _solver_config(cfg, nonlinearity=cfg["nonlinearity"])
-    fld = _field_from_cfg(cfg, config)
-    if fld.lifted_dim != 3:
-        raise UsageError("nonlinear runs take physical d = 3 radial data")
-    traj = rs.solve_quintic(fld, config)
+    traj = rs.solve_quintic(rs.gaussian_bump(config, *cfg["gaussian"]), config)
     csv_path = _with_ext(base, ".csv")
-    _refuse_blow_up(traj, csv_path, ("t", "E_total"))
+    _refuse_blow_up(traj, (csv_path, ("t", "E_total")))
     series = rs.energy_series(traj)
     _write_csv(csv_path, ("t", "E_total"), traj.times, series)
     drift = float((np.max(series) - np.min(series)) / abs(series[0])) if series[0] != 0 else 0.0
@@ -501,6 +502,8 @@ def _run_pipeline(cfg: dict, base: Path) -> dict:
         r_max=cfg["r_max"], n_r=cfg["n_r"], t_final=cfg["t_final"]
     )
     fld = rs.lifted_field_from_mode(mode, config)
+    exts = {"radiation_tail": ".s.csv", "gradient_tail": ".dru0.csv", "sixth_power_tail": ".l6.csv"}
+    tables = {name: (_with_ext(base, ext), ("r", "value")) for name, ext in exts.items()}
     rep = _numerical_guard(
         lambda: dl.nonlinear_decay_pipeline(
             fld,
@@ -510,17 +513,13 @@ def _run_pipeline(cfg: dict, base: Path) -> dict:
             floor_tol=cfg["floor_tol"],
             cutoff_width=cfg["cutoff_width"],
             snapshots=cfg["snapshots"],
-        )
+        ),
+        *tables.values(),
     )
-    tables = {
-        "radiation_tail": (rep.s_report, ".s.csv"),
-        "gradient_tail": (rep.dr_u0_report, ".dru0.csv"),
-        "sixth_power_tail": (rep.l6_report, ".l6.csv"),
-    }
     out: dict[str, Any] = {"cutoff": list(rep.cutoff), "t_end": rep.t_end}
-    for name, (table, ext) in tables.items():
-        csv_path = _with_ext(base, ext)
-        _write_csv(csv_path, ("r", "value"), table.r, table.values)
+    reports = (rep.s_report, rep.dr_u0_report, rep.l6_report)
+    for (name, (csv_path, header)), table in zip(tables.items(), reports):
+        _write_csv(csv_path, header, table.r, table.values)
         out[name] = {
             "exponent": table.exponent,
             "residual": table.residual,

@@ -12,10 +12,10 @@ Each time level carries one extra slot, at index n_r, that holds the
 ghost value at r_max + dr, so the last row is an ordinary row whose
 upper weight reads that slot and a step is a few array passes.  Grids
 start at r = 0.  The outer edge is closed either by exact ghost values
-from an ExteriorDescriptor (basis data evolves in closed form, so the
-boundary is not an approximation at all) or by quadratic extrapolation,
-in which case the numerical domain of dependence shrinks by exactly one
-cell per step and every diagnostic accounts for that contaminated band.
+from an ExteriorDescriptor (linear runs: basis data evolves in closed
+form, so the boundary is exact) or by quadratic extrapolation, in which
+case the numerical domain of dependence shrinks by exactly one cell per
+step and every diagnostic accounts for that contaminated band.
 
 With extrapolated ghosts a step updates only a leading window of rows.
 Rows past the support of the first two time levels hold +0 and a row
@@ -526,9 +526,11 @@ def solve_mode_linear(
 
 
 def solve_quintic(initial: RadialGridField, config: SolverConfig) -> Trajectory:
-    """Evolve the d = 3 radial equation u_tt = u_rr + (2/r)u_r + F(u)."""
+    """Evolve the d = 3 radial equation u_tt = u_rr + (2/r)u_r + F(u), with extrapolated ghosts."""
     if initial.lifted_dim != 3:
         raise ValueError("the quintic solver is for physical d = 3 radial fields")
+    if initial.descriptor is not None:
+        raise ValueError("a descriptor's free chains are no ghost for a quintic run")
     if config.nonlinearity == "none":
         raise ValueError("quintic solves need a nonlinearity; use solve_mode_linear")
     return _solve((initial,), config)[0]

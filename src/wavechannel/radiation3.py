@@ -297,13 +297,13 @@ def data_norm2(
 
 
 def isometry_ratio(
+    profile: RadiationProfile,
     r: np.ndarray,
     u0: np.ndarray,
     u1: np.ndarray,
     du0: Optional[np.ndarray] = None,
 ) -> float:
-    """data_norm2 / (2 norm2 of the forward image); exactly 1 in the limit."""
-    profile = forward_map(r, u0, u1, du0=du0)
+    """data_norm2 / (2 norm2 of `profile`, the data's forward_map); exactly 1 in the limit."""
     denom = 2.0 * profile.norm2()
     if denom == 0.0:
         raise ValueError("radiation-free data has no isometry ratio")

@@ -179,11 +179,11 @@ def test_criterion_08_radiation_isometry_and_round_trip():
     for _ in range(50):
         p = band_limited_profile(rng)
         data = rad.inverse_map(p)
-        ratio = rad.isometry_ratio(data.r, data.u0, data.u1)
+        back = rad.forward_map(data.r, data.u0, data.u1)
+        ratio = rad.isometry_ratio(back, data.r, data.u0, data.u1)
         worst_iso = max(worst_iso, abs(ratio - 1.0))
         assert ratio == pytest.approx(1.0, rel=1e-6)
 
-        back = rad.forward_map(data.r, data.u0, data.u1)
         g_back = np.interp(p.s, back.s, back.g)
         err = np.max(np.abs(g_back - p.g)) / np.max(np.abs(p.g))
         worst_rt = max(worst_rt, err)

@@ -94,6 +94,23 @@ class TestValidation:
         assert run(["lemmas", "--config", str(cfg)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "energy --gaussian 0.5 1.5 --d 5 --r-max 32",
+            "energy --gaussian 0.5 1.5 --nu 1",
+            "evolve --gaussian 0.5 1.5 --d 5",
+            "evolve --gaussian 0.5 1.5 --B 1",
+            "radiation --gaussian 1 1.5 --A 1",
+        ],
+    )
+    def test_gaussian_with_mode_options_exits_1(self, outdir, capsys, argv):
+        # a Gaussian is d = 3 data with no mode coefficients; it ran as such
+        # while the artifact echoed the mode options
+        assert run(argv.split()) == 1
+        assert "gaussian data is d = 3 data" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_out_of_range_flag_exits_1(self, capsys):
         assert run(["evolve", "--n-r", "4"]) == 1
         assert "n_r" in capsys.readouterr().err
@@ -179,18 +196,20 @@ class TestSchemas:
         assert run(["pipeline", "--config", "x.json", "--t-final", "2"]) == 1
 
     def test_starting_config_equals_the_frozen_defaults(self, outdir):
-        # json.dumps tells 1 from 1.0, as the artifacts' config echo does
+        # json.dumps tells 1 from 1.0, as the artifacts' config echo does;
+        # pipeline and nlw get their required keys from a config file
         frozen = json.loads(FROZEN_DEFAULTS.read_text())
         assert sorted(frozen) == sorted(SUBCOMMANDS)
-        required = dict(PIPE_CFG)
-        assert sorted(required) == sorted(cli._schema("pipeline")["required"])
-        cfg_path = outdir / "required.json"
-        cfg_path.write_text(json.dumps(required))
+        required = {"pipeline": dict(PIPE_CFG), "nlw": {"gaussian": [0.5, 1.5]}}
         for sub in SUBCOMMANDS:
-            config = str(cfg_path) if sub == "pipeline" else None
+            keys = required.get(sub, {})
+            assert sorted(keys) == sorted(cli._schema(sub).get("required", [])), sub
+            config = None
+            if keys:
+                config = str(outdir / f"{sub}_required.json")
+                Path(config).write_text(json.dumps(keys))
             got = cli._effective_config(sub, argparse.Namespace(config=config))
-            if sub == "pipeline":
-                got = {k: v for k, v in got.items() if k not in required}
+            got = {k: v for k, v in got.items() if k not in keys}
             assert json.dumps(got, sort_keys=True) == json.dumps(frozen[sub], sort_keys=True), sub
 
     def test_empty_probe_radii_in_a_config_exits_1(self, outdir, capsys):
@@ -354,16 +373,14 @@ class TestRadiation:
         assert table.shape[1] == 2
 
     def test_monopole_mode_is_radiation_free_outside(self, outdir):
-        rc = run(
-            "radiation --d 3 --nu 0 --R 1 --A 1.0 --tail-radii 2 4 8".split()
-        )
+        rc = run("radiation --R 1 --A 1.0 --tail-radii 2 4 8".split())
         assert rc == 0
         rep = read_json(outdir, "radiation.json")["report"]
         assert rep["charge"] == pytest.approx(1.0, rel=1e-3)
         assert all(row["tail"] < 1e-12 for row in rep["tails"])
 
     def test_zero_data_has_no_isometry_ratio(self, outdir):
-        assert run(["radiation", "--d", "3", "--A", "0.0"]) == 0
+        assert run(["radiation", "--A", "0.0"]) == 0
         rep = read_json(outdir, "radiation.json")["report"]
         assert rep["norm2"] == 0.0
         assert rep["isometry_ratio"] is None
@@ -376,11 +393,25 @@ class TestRadiation:
         assert rep["isometry_ratio"] is None
 
     def test_higher_mode_rejected(self, capsys):
+        # radiation takes d = 3 data, so it has no flags for any other mode
         assert run("radiation --d 5 --nu 1 --R 1 --A 1 2 --B 1".split()) == 1
-        assert "d = 3" in capsys.readouterr().err
+        assert "unrecognized arguments: --d 5 --nu 1" in capsys.readouterr().err
+
+    def test_mode_flags_are_unknown(self, outdir, capsys):
+        assert run("radiation --d 3".split()) == 1
+        assert "unrecognized arguments: --d 3" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
 
 
 class TestNlw:
+    def test_mode_data_is_refused(self, outdir, capsys):
+        # the free chain A/r is no exact ghost for the quintic flow
+        assert run("nlw --A 1".split()) == 1
+        assert "unrecognized arguments: --A 1" in capsys.readouterr().err
+        assert run(["nlw"]) == 1
+        assert "'gaussian' is a required property" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_defocusing_run_conserves_energy(self, outdir):
         rc = run(
             "nlw --gaussian 0.5 1.5 --r-max 32 --n-r 801 --t-final 4"
@@ -441,6 +472,29 @@ class TestNumericalErrors:
         assert rc == 2
         reason = read_json(outdir, "energy.json")["failure"]["reason"]
         assert reason.startswith("outer-edge contamination reaches the diagnostic region")
+
+    def test_failed_energy_run_leaves_no_earlier_table(self, outdir):
+        assert run("energy --gaussian 1 1.5 --r-max 40 --n-r 1001 --out e".split()) == 0
+        assert len((outdir / "e.csv").read_text().splitlines()) > 1
+        assert run("energy --gaussian 1 1.5 --r-max 8 --n-r 401 --out e".split()) == 2
+        assert "contamination" in read_json(outdir, "e.json")["failure"]["reason"]
+        assert (outdir / "e.csv").read_text() == "t,E_ext\n"
+
+    def test_failed_pipeline_run_leaves_no_earlier_tables(self, outdir):
+        cfg = {
+            "R": 1.0, "A": [1.0], "r_max": 16.0, "n_r": 401, "t_final": 1.0,
+            "probe_radii": [2.0, 3.0, 4.0, 5.0],
+        }
+        (outdir / "ok.json").write_text(json.dumps(cfg))
+        (outdir / "blowup.json").write_text(
+            json.dumps({**cfg, "A": [5.0], "nonlinearity": "focusing_quintic"})
+        )
+        tables = [outdir / f"p.{ext}.csv" for ext in ("s", "dru0", "l6")]
+        assert run(["pipeline", "--config", str(outdir / "ok.json"), "--out", "p"]) == 0
+        assert all(len(t.read_text().splitlines()) == 5 for t in tables)
+        assert run(["pipeline", "--config", str(outdir / "blowup.json"), "--out", "p"]) == 2
+        assert "failure" in read_json(outdir, "p.json")
+        assert [t.read_text() for t in tables] == ["r,value\n"] * 3
 
     def test_pipeline_blowup_exits_2(self, outdir, capsys):
         cfg = outdir / "blowup_config.json"
@@ -628,7 +682,7 @@ class TestFrontEnd:
         assert got == want
 
     def test_refused_mode_makes_no_directory(self, outdir):
-        assert run("radiation --d 3 --nu 1 --out made/by/refused/run".split()) == 1
+        assert run("evolve --exact --gaussian 1 1.5 --out made/by/refused/run".split()) == 1
         assert list(outdir.iterdir()) == []
 
     def test_refused_config_makes_no_directory(self, outdir, capsys):

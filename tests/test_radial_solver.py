@@ -557,6 +557,17 @@ class TestQuintic:
         with pytest.raises(ValueError):
             rs.solve_mode_linear(compact_bump(cfg), cfg)
 
+    def test_quintic_refuses_a_descriptor(self):
+        # the free chain A/r is no ghost for the quintic flow, which moves A/r data
+        cfg = rs.SolverConfig(
+            r_max=10.0, n_r=201, t_final=1.0, nonlinearity="defocusing_quintic"
+        )
+        data = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[1.0])
+        fld = rs.lifted_field_from_mode(data, cfg)
+        assert fld.descriptor is not None
+        with pytest.raises(ValueError, match="descriptor"):
+            rs.solve_quintic(fld, cfg)
+
 
 class TestConeEnergy:
     def test_interior_data_zero_exterior_energy(self):

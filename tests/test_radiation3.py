@@ -121,8 +121,9 @@ class TestIsometry:
         p = rad.forward_map(r, u0, u1, du0=du0)
         assert lhs == pytest.approx(expect, rel=1e-12)
         assert 2 * p.norm2() == pytest.approx(expect, rel=1e-12)
-        ratio = rad.isometry_ratio(r, u0, u1, du0=du0)
+        ratio = rad.isometry_ratio(p, r, u0, u1, du0=du0)
         assert ratio == pytest.approx(1.0, rel=1e-12)
+        assert ratio == lhs / (2 * p.norm2())
 
     def test_random_band_limited(self):
         # zero-mean profiles: nonzero charge would park energy in the
@@ -131,14 +132,16 @@ class TestIsometry:
         for _ in range(5):
             p = channel_balance.band_limited_profile(rng)
             data = rad.inverse_map(p)
-            ratio = rad.isometry_ratio(data.r, data.u0, data.u1)
+            image = rad.forward_map(data.r, data.u0, data.u1)
+            ratio = rad.isometry_ratio(image, data.r, data.u0, data.u1)
             assert ratio == pytest.approx(1.0, rel=1e-6)
 
     def test_radiation_free_data_rejected(self):
         r = np.linspace(1.0, 10.0, 901)
         zero = np.zeros_like(r)
+        image = rad.forward_map(r, zero, zero, du0=zero)
         with pytest.raises(ValueError):
-            rad.isometry_ratio(r, zero, zero, du0=zero)
+            rad.isometry_ratio(image, r, zero, zero, du0=zero)
 
 
 class TestInverseMap:
