@@ -66,6 +66,11 @@ class DigestConfig:
             "evolve --d 4 --nu 1 --R 1.3 --A 1 --B 0.7 --t-final 2 --out evolve_lifted",
             "evolve --exact --d 7 --A 0.5 1 --B 0.25 --t-final 3 --out evolve_exact_d7",
             "energy --d 5 --A 1 --B 0.3 --cone-radius 2 --out energy_d5",
+            # numerical failures (exit 2): the failure JSON and header-only tables
+            "evolve --d 7 --A 0 1 --B 0 --r-max 16 --n-r 1601 --t-final 4 --out evolve_blowup",
+            "nlw --gaussian 0.5 1.5 --r-max 20 --n-r 501 --t-final 4 --probe-radii 8"
+            " --out nlw_contaminated",
+            "energy --gaussian 1 1.5 --r-max 8 --n-r 401 --out energy_contaminated",
         ]
     )
     scripts: list[str] = field(

@@ -17,7 +17,9 @@ the first artifact, so a refused run writes nothing.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure
 (blow-up, contaminated diagnostics, violated exact inequality), the
-latter with the diagnostic written to the JSON artifact.
+latter with the diagnostic written to the JSON artifact.  `run` alone
+writes tables, and only after a handler has returned: exit 1 writes
+none, and exit 2 leaves every table of the subcommand header-only.
 
 CSV columns: trajectories (t, r, u, ut); energy series (t, E_ext) or
 (t, E_total); radiation profiles (s, g); decay tables (r, value).
@@ -42,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -193,20 +195,6 @@ def _check_config_survives(config_path: Optional[str], base: Path) -> None:
         )
 
 
-def _fail(report: dict, *tables: tuple[Path, Sequence[str]]) -> NoReturn:
-    """Exit 2 with `report`, each (path, header) table left header-only, not an earlier run's."""
-    for path, header in tables:
-        _write_csv(path, header)
-    raise NumericalFailure(report)
-
-
-def _numerical_guard(fn: Callable[[], Any], *tables: tuple[Path, Sequence[str]]) -> Any:
-    try:
-        return fn()
-    except rs.NumericalError as e:
-        _fail({"reason": str(e)}, *tables)
-
-
 # ---------------------------------------------------------------------------
 # argument wiring, generated from the schemas
 
@@ -310,7 +298,7 @@ def _solver_config(cfg: dict, **overrides: Any) -> rs.SolverConfig:
 # handlers
 
 
-def _run_lemmas(cfg: dict, base: Path) -> dict:
+def _run_lemmas(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
     variants = polylib.VARIANTS if cfg["variant"] == "all" else (cfg["variant"],)
     rng = random.Random(cfg["seed"])
     per: dict[str, dict] = {}
@@ -336,10 +324,10 @@ def _run_lemmas(cfg: dict, base: Path) -> dict:
     if total:
         report["reason"] = "an exact inequality failed on sampled data"
         raise NumericalFailure(report)
-    return report
+    return report, {}
 
 
-def _run_basis(cfg: dict, base: Path) -> dict:
+def _run_basis(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
     mode = _mode_from_cfg(cfg)
     report: dict[str, Any] = {"mode": json.loads(eb.to_json(mode))}
     for item in cfg["check"]:
@@ -363,7 +351,7 @@ def _run_basis(cfg: dict, base: Path) -> dict:
                 for R1 in radii
                 for b in (eb.decay_bound_check(mode, R1),)
             ]
-    return report
+    return report, {}
 
 
 def _chain_terms(desc: ev.ExteriorDescriptor) -> list[dict]:
@@ -381,8 +369,7 @@ def _chain_terms(desc: ev.ExteriorDescriptor) -> list[dict]:
     ]
 
 
-def _run_evolve(cfg: dict, base: Path) -> dict:
-    csv_path = _with_ext(base, ".csv")
+def _run_evolve(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
     if cfg["exact"]:
         if cfg.get("gaussian") is not None:
             raise UsageError("exact evolution needs basis-backed data, not a gaussian")
@@ -397,58 +384,53 @@ def _run_evolve(cfg: dict, base: Path) -> dict:
                 vals = desc.eval(r[cov], float(t))
                 frames += (np.full(np.count_nonzero(cov), t), r[cov], vals.u, vals.ut)
         columns = [np.concatenate(frames[k::4]) for k in range(4)]
-        _write_csv(csv_path, ("t", "r", "u", "ut"), *columns)
         return {
             "exact": True,
             "chains": _chain_terms(desc),
             "rows": len(columns[0]),
-            "csv": csv_path.name,
-        }
+            "csv": names[".csv"],
+        }, {".csv": columns}
     config = _solver_config(cfg)
     fld = _field_from_cfg(cfg, config)
     traj = rs.solve_mode_linear(fld, config)
+    _refuse_blow_up(traj)
     n_snap, n_r = traj.u.shape
     columns = (np.repeat(traj.times, n_r), np.tile(traj.r, n_snap), traj.u.ravel(), traj.ut.ravel())
-    _write_csv(csv_path, ("t", "r", "u", "ut"), *columns)
-    report = {
+    return {
         "exact": False,
         "lifted_dim": fld.lifted_dim,
         "stored_times": len(traj.times),
         "blown_up": traj.blown_up,
-        "csv": csv_path.name,
-    }
-    if traj.blown_up:
-        report["reason"] = f"the run blew up before t={cfg['t_final']:g}"
-        raise NumericalFailure(report)
-    return report
+        "csv": names[".csv"],
+    }, {".csv": columns}
 
 
-def _refuse_blow_up(traj: rs.Trajectory, table: tuple[Path, Sequence[str]]) -> None:
-    """Exit 2 on a run that blew up, with its table header-only."""
+def _refuse_blow_up(traj: rs.Trajectory) -> None:
+    """Exit 2 on a run that blew up, naming its last stored time."""
     if traj.blown_up:
         t_last = float(traj.times[-1])
-        _fail({"reason": f"the run blew up after t={t_last:g}", "last_stored_time": t_last}, table)
+        raise NumericalFailure(
+            {"reason": f"the run blew up after t={t_last:g}", "last_stored_time": t_last}
+        )
 
 
-def _run_energy(cfg: dict, base: Path) -> dict:
+def _run_energy(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
     config = _solver_config(cfg)
     fld = _field_from_cfg(cfg, config)
     traj = rs.solve_mode_linear(fld, config)
-    table = (_with_ext(base, ".csv"), ("t", "E_ext"))
-    _refuse_blow_up(traj, table)
-    series = _numerical_guard(lambda: rs.cone_energy(traj, cfg["cone_radius"]), table)
-    _write_csv(*table, series.times, series.values)
+    _refuse_blow_up(traj)
+    series = rs.cone_energy(traj, cfg["cone_radius"])
     return {
         "cone_radius": cfg["cone_radius"],
         "initial": float(series.values[0]),
         "final": float(series.values[-1]),
         "max": float(np.max(series.values)),
         "truncated": series.truncated,
-        "csv": table[0].name,
-    }
+        "csv": names[".csv"],
+    }, {".csv": (series.times, series.values)}
 
 
-def _run_radiation(cfg: dict, base: Path) -> dict:
+def _run_radiation(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
     r = np.linspace(0.0, cfg["r_max"], cfg["n_r"])
     if cfg.get("gaussian") is not None:
         amp, width = cfg["gaussian"]
@@ -462,74 +444,65 @@ def _run_radiation(cfg: dict, base: Path) -> dict:
         isometry: Optional[float] = rad.isometry_ratio(profile, r, u0, u1, du0=du0)
     except ValueError:
         isometry = None  # radiation-free data has no ratio
-    csv_path = _with_ext(base, ".csv")
-    _write_csv(csv_path, ("s", "g"), profile.s, profile.g)
     return {
         "charge": profile.mean(),
         "norm2": profile.norm2(),
         "isometry_ratio": isometry,
         "tails": [{"r": x, "tail": rad.tail_S(profile, x)} for x in cfg["tail_radii"]],
-        "csv": csv_path.name,
-    }
+        "csv": names[".csv"],
+    }, {".csv": (profile.s, profile.g)}
 
 
-def _run_nlw(cfg: dict, base: Path) -> dict:
+def _run_nlw(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
     config = _solver_config(cfg, nonlinearity=cfg["nonlinearity"])
     traj = rs.solve_quintic(rs.gaussian_bump(config, *cfg["gaussian"]), config)
-    csv_path = _with_ext(base, ".csv")
-    _refuse_blow_up(traj, (csv_path, ("t", "E_total")))
+    _refuse_blow_up(traj)
     series = rs.energy_series(traj)
-    _write_csv(csv_path, ("t", "E_total"), traj.times, series)
     drift = float((np.max(series) - np.min(series)) / abs(series[0])) if series[0] != 0 else 0.0
     report: dict[str, Any] = {
         "nonlinearity": cfg["nonlinearity"],
         "blown_up": False,
         "initial_energy": float(series[0]),
         "relative_drift": drift,
-        "csv": csv_path.name,
+        "csv": names[".csv"],
     }
     if cfg["probe_radii"] is not None:
-        tails = _numerical_guard(lambda: rs.l6_tail(traj, cfg["probe_radii"]))
+        tails = rs.l6_tail(traj, cfg["probe_radii"])
         report["l6_tails"] = [
             {"r": p, "value": float(v)} for p, v in zip(cfg["probe_radii"], tails)
         ]
-    return report
+    return report, {".csv": (traj.times, series)}
 
 
-def _run_pipeline(cfg: dict, base: Path) -> dict:
+def _run_pipeline(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
     mode = eb.build_exterior_mode(eb.ModeSpec(3, 0), cfg["R"], A=cfg["A"])
     config = rs.SolverConfig(
         r_max=cfg["r_max"], n_r=cfg["n_r"], t_final=cfg["t_final"]
     )
     fld = rs.lifted_field_from_mode(mode, config)
-    exts = {"radiation_tail": ".s.csv", "gradient_tail": ".dru0.csv", "sixth_power_tail": ".l6.csv"}
-    tables = {name: (_with_ext(base, ext), ("r", "value")) for name, ext in exts.items()}
-    rep = _numerical_guard(
-        lambda: dl.nonlinear_decay_pipeline(
-            fld,
-            cfg["nonlinearity"],
-            cfg["probe_radii"],
-            t_final=cfg["t_final"],
-            floor_tol=cfg["floor_tol"],
-            cutoff_width=cfg["cutoff_width"],
-            snapshots=cfg["snapshots"],
-        ),
-        *tables.values(),
+    rep = dl.nonlinear_decay_pipeline(
+        fld, cfg["nonlinearity"], cfg["probe_radii"], t_final=cfg["t_final"]
     )
     out: dict[str, Any] = {"cutoff": list(rep.cutoff), "t_end": rep.t_end}
-    reports = (rep.s_report, rep.dr_u0_report, rep.l6_report)
-    for (name, (csv_path, header)), table in zip(tables.items(), reports):
-        _write_csv(csv_path, header, table.r, table.values)
-        out[name] = {
+    columns = {}
+    reports = {
+        ".s.csv": ("radiation_tail", rep.s_report),
+        ".dru0.csv": ("gradient_tail", rep.dr_u0_report),
+        ".l6.csv": ("sixth_power_tail", rep.l6_report),
+    }
+    for ext, (key, table) in reports.items():
+        out[key] = {
             "exponent": table.exponent,
             "residual": table.residual,
             "truncated": table.truncated,
-            "csv": csv_path.name,
+            "csv": names[ext],
         }
-    return out
+        columns[ext] = (table.r, table.values)
+    return out, columns
 
 
-_HANDLERS: dict[str, Callable[[dict, Path], dict]] = {
+# (config, table file names by extension) -> (report, table columns by extension)
+_HANDLERS: dict[str, Callable[[dict, dict[str, str]], tuple[dict, dict]]] = {
     "lemmas": _run_lemmas,
     "basis": _run_basis,
     "evolve": _run_evolve,
@@ -537,6 +510,17 @@ _HANDLERS: dict[str, Callable[[dict, Path], dict]] = {
     "radiation": _run_radiation,
     "nlw": _run_nlw,
     "pipeline": _run_pipeline,
+}
+
+# each subcommand's tables, extension -> header, all of them written by `run`
+_TABLES: dict[str, dict[str, tuple[str, ...]]] = {
+    "lemmas": {},
+    "basis": {},
+    "evolve": {".csv": ("t", "r", "u", "ut")},
+    "energy": {".csv": ("t", "E_ext")},
+    "radiation": {".csv": ("s", "g")},
+    "nlw": {".csv": ("t", "E_total")},
+    "pipeline": {ext: ("r", "value") for ext in (".s.csv", ".dru0.csv", ".l6.csv")},
 }
 
 
@@ -569,14 +553,20 @@ def run(argv: Sequence[str]) -> int:
         cfg = _effective_config(sub, args)
         base = _resolve_base(cfg["out"])
         _check_config_survives(args.config, base)
-        body = _HANDLERS[sub](cfg, base)
+        body, columns = _HANDLERS[sub](cfg, {ext: base.name + ext for ext in _TABLES[sub]})
+        for ext, header in _TABLES[sub].items():
+            _write_csv(_with_ext(base, ext), header, *columns[ext])
         sys.stdout.write(_emit(sub, cfg, body, base, "report"))
         return 0
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except NumericalFailure as e:
-        sys.stdout.write(_emit(sub, cfg, e.report, base, "failure"))
+    # before ValueError: a NumericalError is one
+    except (NumericalFailure, rs.NumericalError) as e:
+        for ext, header in _TABLES[sub].items():
+            _write_csv(_with_ext(base, ext), header)  # no earlier run's rows, nor this one's
+        failure = e.report if isinstance(e, NumericalFailure) else {"reason": str(e)}
+        sys.stdout.write(_emit(sub, cfg, failure, base, "failure"))
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

@@ -37,6 +37,11 @@ SEPARATION_FACTOR = 4.0
 # the envelope's geometric grid R * GRID_RATIO^i, and S on its initial band
 GRID_RATIO = 1.05
 SEED_VALUE = 0.499
+# the pipeline's relative zero floor for a tail, the ramp width of its
+# sixth-power cutoff, and the snapshots its nonlinear run aims at
+FLOOR_TOL = 1e-9
+CUTOFF_WIDTH = 4.0
+SNAPSHOTS = 32
 # most candidate cells one block of envelope rows holds at once
 _BLOCK_CELLS = 1 << 16
 
@@ -273,9 +278,6 @@ def nonlinear_decay_pipeline(
     nonlinearity: str,
     probe_radii: Sequence[float],
     t_final: float = 4.0,
-    floor_tol: float = 1e-9,
-    cutoff_width: float = 4.0,
-    snapshots: int = 32,
 ) -> PipelineReport:
     """Radiation, gradient, and sixth-power decay of d = 3 radial data.
 
@@ -316,7 +318,7 @@ def nonlinear_decay_pipeline(
     s_values = np.array([tail_S(profile, float(p)) for p in probes])
     grad_mass = float(np.trapezoid(du0**2 * r**2, r))
     s_scale = math.sqrt(4.0 * math.pi * grad_mass) if grad_mass > 0 else 1.0
-    s_fit = _fit_or_floor(probes, s_values, floor_tol * s_scale)
+    s_fit = _fit_or_floor(probes, s_values, FLOOR_TOL * s_scale)
     s_report = DecayReport(
         r=probes, values=s_values, exponent=s_fit.beta, residual=s_fit.residual
     )
@@ -328,7 +330,7 @@ def nonlinear_decay_pipeline(
     b_values = np.array(
         [_moving_tail_integral(r, float(p), integrand) + beyond for p in probes]
     )
-    b_fit = _fit_or_floor(probes, b_values, floor_tol * max(grad_mass, 1e-300))
+    b_fit = _fit_or_floor(probes, b_values, FLOOR_TOL * max(grad_mass, 1e-300))
     dr_u0_report = DecayReport(
         r=probes, values=b_values, exponent=b_fit.beta, residual=b_fit.residual
     )
@@ -340,10 +342,10 @@ def nonlinear_decay_pipeline(
         t_final=t_final,
         nonlinearity=nonlinearity,
     )
-    config = replace(config, store_every=max(1, config.raw_steps // max(1, snapshots)))
+    config = replace(config, store_every=max(1, config.raw_steps // SNAPSHOTS))
     t_end = config.n_steps * config.dt
     c0 = float(probes[-1]) + 2.0 * t_end + 2.0 * data.dr
-    c1 = c0 + cutoff_width
+    c1 = c0 + CUTOFF_WIDTH
     required = c1 + 2.0 * t_end / config.cfl + 2.0 * data.dr
     if float(r[-1]) < required:
         raise ValueError(
@@ -360,7 +362,7 @@ def nonlinear_decay_pipeline(
         )
     l6_values = l6_tail(traj, probes)
     six_mass = float(np.trapezoid(4.0 * math.pi * data.u**6 * r**2, r))
-    l6_fit = _fit_or_floor(probes, l6_values, floor_tol * max(six_mass, 1e-300))
+    l6_fit = _fit_or_floor(probes, l6_values, FLOOR_TOL * max(six_mass, 1e-300))
     l6_report = DecayReport(
         r=probes, values=l6_values, exponent=l6_fit.beta, residual=l6_fit.residual
     )

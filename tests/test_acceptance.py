@@ -228,7 +228,7 @@ def test_criterion_10_nonlinear_pipeline_exponents():
     )
     elapsed = time.time() - start
 
-    assert np.all(report.s_report.values <= 1e-9)  # the pipeline's default floor_tol
+    assert np.all(report.s_report.values <= 1e-9)  # the pipeline's FLOOR_TOL
     assert math.isinf(report.s_report.exponent)
     assert report.dr_u0_report.exponent == pytest.approx(1.0, abs=0.05)
     assert report.l6_report.exponent >= 1.8

@@ -308,6 +308,19 @@ class TestEvolve:
         assert len(np.unique(table[:, 0])) == rep["stored_times"]
         assert table.shape[1] == 4
 
+    def test_blown_up_run_exits_2_with_a_header_only_table(self, outdir, capsys):
+        # lifted D = 7 blows up before t = 4 on this grid, as in TestEnergy
+        rc = run(
+            "evolve --d 7 --A 0 1 --B 0 --r-max 16 --n-r 1601 --t-final 4".split()
+        )
+        assert rc == 2
+        assert "blew up" in capsys.readouterr().err
+        doc = read_json(outdir, "evolve.json")
+        assert "report" not in doc
+        assert doc["failure"]["reason"].startswith("the run blew up after t=")
+        assert doc["failure"]["last_stored_time"] < 4.0
+        assert (outdir / "evolve.csv").read_text() == "t,r,u,ut\n"
+
     def test_scheme_is_no_longer_an_option(self, outdir, capsys):
         cfg = outdir / "old.json"
         cfg.write_text(json.dumps({"scheme": "leapfrog"}))
@@ -479,6 +492,26 @@ class TestNumericalErrors:
         assert run("energy --gaussian 1 1.5 --r-max 8 --n-r 401 --out e".split()) == 2
         assert "contamination" in read_json(outdir, "e.json")["failure"]["reason"]
         assert (outdir / "e.csv").read_text() == "t,E_ext\n"
+
+    def test_contaminated_nlw_probe_leaves_a_header_only_table(self, outdir):
+        # the energy series is complete before the probe fails: neither its
+        # rows nor the earlier run's may stay beside the failure
+        grid = "nlw --gaussian 0.5 1.5 --r-max 20 --n-r 501 --t-final 4 --out n"
+        assert run(grid.split()) == 0
+        assert len((outdir / "n.csv").read_text().splitlines()) > 1
+        assert run(f"{grid} --probe-radii 8".split()) == 2
+        assert "contamination" in read_json(outdir, "n.json")["failure"]["reason"]
+        assert (outdir / "n.csv").read_text() == "t,E_total\n"
+
+    def test_unguarded_site_exits_2_by_its_type(self, outdir, monkeypatch, capsys):
+        def refuse(traj):
+            raise rs.NumericalError("energy series refused")
+
+        monkeypatch.setattr(rs, "energy_series", refuse)
+        assert run("nlw --gaussian 0.5 1.5 --r-max 8 --n-r 81 --t-final 1".split()) == 2
+        assert "numerical failure: energy series refused" in capsys.readouterr().err
+        assert read_json(outdir, "nlw.json")["failure"] == {"reason": "energy series refused"}
+        assert (outdir / "nlw.csv").read_text() == "t,E_total\n"
 
     def test_failed_pipeline_run_leaves_no_earlier_tables(self, outdir):
         cfg = {
