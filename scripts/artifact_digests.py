@@ -7,7 +7,8 @@ in a temporary directory, then runs the solver-facing scripts in this
 directory with their defaults and captures what they print.  It also
 captures the front end's own text: the top-level `--help`, each
 `<sub> --help`, and the exit code and stderr of a fixed list of bad
-invocations.  Each artifact, each script's stdout and each of those
+invocations, among them one config file per schema keyword that it
+violates.  Each artifact, each script's stdout and each of those
 texts gets one `sha256  name` line.  Two checkouts that print the same
 lines produce the same bytes, which is the contract a refactor must keep.
 Run it in the change and in a `git archive` of its parent (with this
@@ -29,6 +30,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 from wavechannel.cli import run
 
@@ -96,6 +98,21 @@ class DigestConfig:
             ("refused_exact_gaussian", "evolve --exact --gaussian 1 1.5"),
         ]
     )
+    # (name, subcommand, config file contents): one schema keyword violated each
+    bad_configs: list[tuple[str, str, dict]] = field(
+        default_factory=lambda: [
+            ("config_type", "evolve", {"n_r": "x"}),
+            ("config_enum", "nlw", {"gaussian": [0.5, 1.5], "nonlinearity": "cubic"}),
+            ("config_minimum", "evolve", {"n_r": 4}),
+            ("config_exclusive_minimum", "evolve", {"r_max": 0}),
+            ("config_exclusive_maximum", "evolve", {"cfl": 1.5}),
+            ("config_min_items", "nlw", {"gaussian": [0.5, 1.5], "probe_radii": []}),
+            ("config_max_items", "evolve", {"gaussian": [1, 2, 3]}),
+            ("config_required", "pipeline", {k: v for k, v in README_PIPELINE.items() if k != "R"}),
+            ("config_additional", "lemmas", {"bogus": 1}),
+            ("config_items", "nlw", {"gaussian": [0.5, 1.5], "probe_radii": [2.0, -1.0]}),
+        ]
+    )
 
 
 def sha256(data: bytes) -> str:
@@ -136,10 +153,12 @@ def command_artifacts(commands: list[str]) -> list[tuple[str, str]]:
         ]
 
 
-def invocation_text(line: str) -> str:
-    """Exit code, stdout and stderr of one command line."""
+def invocation_text(line: str, config: Optional[dict] = None) -> str:
+    """Exit code, stdout and stderr of one command line, with `config` saved as config.json."""
     out, err = io.StringIO(), io.StringIO()
     with scratch_dir(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if config is not None:
+            Path("config.json").write_text(json.dumps(config))
         code = run(line.split())
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
@@ -165,6 +184,8 @@ def main(argv=None) -> int:
         print(f"{sha256(script_stdout(name).encode())}  {name}.stdout")
     for name, line in cfg.invocations:
         print(f"{sha256(invocation_text(line).encode())}  cli_{name}.txt")
+    for name, sub, config in cfg.bad_configs:
+        print(f"{sha256(invocation_text(f'{sub} --config config.json', config).encode())}  cli_{name}.txt")
     return 0
 
 

@@ -6,9 +6,15 @@ Gaussian data only, and no subcommand a Gaussian beside mode options.
 Each option is written once, as a property of schemas/<sub>.json: its
 type, range, default and help text live there, and the flags
 (--key-name for the property key_name) are generated from it.  Each
-accepts a JSON config file (--config), validated against that schema
-with unknown keys rejected; explicit flags override config values, and
-pipeline takes only --config and --out.  Artifacts are a JSON report
+accepts a JSON config file (--config), where a null is an absent key;
+explicit flags override config values, and pipeline takes only --config
+and --out.  The merged config is checked against the schema in this
+module, by `_config_error`: it implements the eleven JSON Schema
+keywords the schemas use, as Draft 2020-12 reads them (a bool is not a
+number, 801.0 is an integer, unknown keys are rejected) and reports
+one error by its path and message; a schema with any other keyword is
+refused when it is loaded.  The tests hold the checker to a Draft
+2020-12 reference validator.  Artifacts are a JSON report
 (<out>.json, also echoed to stdout) plus subcommand-specific CSV
 tables, written atomically; a run whose config file is named like one
 of its <out>.* artifacts is refused.  Relative output paths resolve against
@@ -48,8 +54,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import __version__
 from . import decay_lab as dl
@@ -158,16 +162,98 @@ def _with_ext(base: Path, ext: str) -> Path:
 @lru_cache(maxsize=None)
 def _schema(sub: str) -> dict:
     text = resources.files("wavechannel").joinpath(f"schemas/{sub}.json").read_text()
-    return json.loads(text)
+    return _refuse_unchecked(json.loads(text))
 
 
-@lru_cache(maxsize=None)
-def _validator(sub: str):
-    """The subcommand's validator, with its schema checked against the meta-schema once."""
-    schema = _schema(sub)
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+# ---------------------------------------------------------------------------
+# config checks: the JSON Schema keywords the schemas use, as Draft 2020-12 reads them
+
+
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_TYPES: dict[str, Callable[[Any], bool]] = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+# keyword -> (fails, message) for a number and its bound
+_BOUNDS: dict[str, tuple[Callable[[Any, Any], bool], str]] = {
+    "minimum": (lambda v, b: v < b, "less than the minimum"),
+    "exclusiveMinimum": (lambda v, b: v <= b, "less than or equal to the minimum"),
+    "exclusiveMaximum": (lambda v, b: v >= b, "greater than or equal to the maximum"),
+}
+
+_CHECKED = {
+    "type", "enum", *_BOUNDS, "items", "minItems", "maxItems",
+    "properties", "required", "additionalProperties",
+}
+_ANNOTATIONS = {"$schema", "title", "description", "default"}
+
+
+def _refuse_unchecked(schema: dict) -> dict:
+    """`schema`, once each keyword in it and its subschemas is an annotation or one
+    `_violations` checks, with a value it checks; ValueError names the first that is not."""
+    for key, arg in schema.items():
+        if key not in _CHECKED | _ANNOTATIONS:
+            raise ValueError(f"the config checker does not implement the schema keyword {key!r}")
+        if (
+            key == "type" and not (isinstance(arg, str) and arg in _TYPES)
+            or key == "enum" and not all(isinstance(e, str) for e in arg)  # `in` is then JSON equality
+            or key == "additionalProperties" and arg is not False
+        ):
+            raise ValueError(f"the config checker does not implement {key}: {arg!r}")
+    for sub in [*schema.get("properties", {}).values(), *([schema["items"]] if "items" in schema else [])]:
+        _refuse_unchecked(sub)
+    return schema
+
+
+def _violations(schema: dict, value: Any, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
+    """(path, message) of each violation of `schema` by `value`, in schema order and in the
+    reference validator's words."""
+    for key, arg in schema.items():
+        if key == "type":
+            if not _TYPES[arg](value):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "enum":
+            if value not in arg:
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key in _BOUNDS:
+            fails, words = _BOUNDS[key]
+            if _is_number(value) and fails(value, arg):
+                yield path, f"{value!r} is {words} of {arg!r}"
+        elif isinstance(value, list):
+            if key == "items":
+                for i, item in enumerate(value):
+                    yield from _violations(arg, item, path + (i,))
+            elif key == "minItems" and len(value) < arg:
+                yield path, f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+            elif key == "maxItems" and len(value) > arg:
+                yield path, f"{value!r} " + ("is expected to be empty" if arg == 0 else "is too long")
+        elif isinstance(value, dict):
+            if key == "properties":
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _violations(sub, value[name], path + (name,))
+            elif key == "required":
+                yield from ((path, f"{name!r} is a required property") for name in arg if name not in value)
+            elif key == "additionalProperties":
+                extra = sorted(name for name in value if name not in schema.get("properties", {}))
+                if extra:
+                    names = ", ".join(repr(name) for name in extra)
+                    verb = "was" if len(extra) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+def _config_error(schema: dict, payload: Any) -> Optional[tuple[tuple, str]]:
+    """The violation the reference validator reports first, or None: the shallowest
+    path, the greatest of those, and the first of its violations in schema order."""
+    return max(_violations(schema, payload), key=lambda e: (-len(e[0]), e[0]), default=None)
 
 
 def _load_config(path: str) -> dict:
@@ -224,10 +310,10 @@ def _add_schema_flags(p: argparse.ArgumentParser, schema: dict) -> None:
         p.add_argument("--" + key.replace("_", "-"), **kw)
 
 
-def _build_parser(argv: Sequence[str]) -> _Parser:
-    """All seven subcommands with their help, and flags only for the one argv names
-    (the first argument naming one, since no top-level option takes a value)."""
-    chosen = next((a for a in argv if a in _HANDLERS), None)
+@lru_cache(maxsize=None)
+def _parser(chosen: Optional[str]) -> _Parser:
+    """All seven subcommands with their help, and flags only for the chosen one;
+    built once per process, since parsing leaves nothing in it."""
     parser = _Parser(prog="wavechannel", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand")
     for name in _HANDLERS:
@@ -249,16 +335,17 @@ def _effective_config(sub: str, args: argparse.Namespace) -> dict:
     props = _schema(sub)["properties"]
     cfg = {key: copy.deepcopy(prop.get("default")) for key, prop in props.items()}
     if args.config is not None:
-        cfg.update(_load_config(args.config))
+        # a null is an absent key: the artifacts echo an unset option as null
+        cfg.update((k, v) for k, v in _load_config(args.config).items() if v is not None)
     for key in cfg:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
     payload = {k: v for k, v in cfg.items() if v is not None}
-    error = best_match(_validator(sub).iter_errors(payload))
+    error = _config_error(_schema(sub), payload)
     if error is not None:
-        where = "/".join(str(part) for part in error.absolute_path) or "config"
-        raise UsageError(f"invalid configuration at {where}: {error.message}")
+        where = "/".join(str(part) for part in error[0]) or "config"
+        raise UsageError(f"invalid configuration at {where}: {error[1]}")
     # flags parse "inf" and "nan", and JSON configs may spell them, but no schema bound refuses NaN
     for key, value in payload.items():
         items = value if isinstance(value, list) else [value]
@@ -536,7 +623,8 @@ def _emit(sub: str, cfg: dict, body: dict, base: Path, key: str) -> str:
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = _build_parser(argv)
+    # the first argument naming a subcommand chooses it, since no top-level option takes a value
+    parser = _parser(next((a for a in argv if a in _HANDLERS), None))
     try:
         args = parser.parse_args(list(argv))
     except UsageError as e:

@@ -82,6 +82,19 @@ class TestValidation:
         assert capsys.readouterr().err == "error: n_r must be an integer, got 801.0\n"
         assert [p.name for p in outdir.iterdir()] == ["float.json"]
 
+    @pytest.mark.parametrize(
+        "config", [{"A": None, "d": 3}, {"out": None, "A": [1.0]}, {"n_r": None, "A": [1.0]}]
+    )
+    def test_config_null_is_an_absent_key(self, outdir, capsys, config):
+        # a null skipped the schema check but reached the handler; the
+        # artifacts echo an unset option as null, so a config replays
+        cfg = outdir / "c.json"
+        results = []
+        for doc in (config, {k: v for k, v in config.items() if v is not None}):
+            cfg.write_text(json.dumps(doc))
+            results.append((run(["energy", "--config", str(cfg)]), *capsys.readouterr()))
+        assert results[0] == results[1]
+
     def test_config_must_be_an_object(self, outdir, capsys):
         cfg = outdir / "list.json"
         cfg.write_text("[1, 2]")
@@ -710,9 +723,20 @@ class TestFrontEnd:
     @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda a: " ".join(a) or "empty")
     def test_run_matches_the_full_parser(self, argv, capsys, monkeypatch):
         got = run(argv), *capsys.readouterr()
-        monkeypatch.setattr(cli, "_build_parser", lambda _: oracles.build_parser_reference())
+        monkeypatch.setattr(cli, "_parser", lambda _: oracles.build_parser_reference())
         want = run(argv), *capsys.readouterr()
         assert got == want
+
+    def test_cached_parsers_keep_no_state(self, outdir, capsys, monkeypatch):
+        assert run("energy --A 1 --cone-radius 3 --out a".split()) == 0
+        assert run("energy --A 1 --out b".split()) == 0
+        assert read_json(outdir, "b.json")["config"]["cone_radius"] == 1.0
+        for sub in SUBCOMMANDS:
+            assert run([sub, "--nosuch"]) == 1
+        capsys.readouterr()
+        helps = [(run([sub, "--help"]), *capsys.readouterr()) for sub in SUBCOMMANDS]
+        monkeypatch.setattr(cli, "_parser", lambda _: oracles.build_parser_reference())
+        assert helps == [(run([sub, "--help"]), *capsys.readouterr()) for sub in SUBCOMMANDS]
 
     def test_refused_mode_makes_no_directory(self, outdir):
         assert run("evolve --exact --gaussian 1 1.5 --out made/by/refused/run".split()) == 1

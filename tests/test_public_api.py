@@ -89,14 +89,15 @@ def test_every_public_name_is_reached_or_kept():
     assert not stale, f"kept names that are reached now, drop them from KEPT: {stale}"
 
 
-def test_the_package_imports_without_scipy():
-    # scipy is a test dependency: importing the console entry point, which
-    # loads every module, must not pull it in (it is most of a cold start)
+def test_the_package_imports_no_test_oracle():
+    # scipy and jsonschema are test oracles: importing the console entry
+    # point, which loads every module, must pull in neither (scipy was most
+    # of a cold start, jsonschema a fifth of it)
     code = (
         "import pkgutil, sys, wavechannel, wavechannel.cli\n"
         "for m in pkgutil.iter_modules(wavechannel.__path__):\n"
         "    __import__('wavechannel.' + m.name)\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))\n"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
