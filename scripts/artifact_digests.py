@@ -16,8 +16,6 @@ file copied into that scripts/), then compare:
 
     PYTHONPATH=src python3 scripts/artifact_digests.py > after.txt
     diff before.txt after.txt
-
-`lemma_audit.py` is left out, since it prints wall times.
 """
 
 import argparse
@@ -77,7 +75,7 @@ class DigestConfig:
     )
     scripts: list[str] = field(
         default_factory=lambda: [
-            "channel_balance", "convergence_study", "run_pipeline", "worst_case_recursion",
+            "channel_balance", "convergence_study", "worst_case_recursion",
         ]
     )
     # (name, command line); each is run for its exit code, stdout and stderr
@@ -96,6 +94,7 @@ class DigestConfig:
             ("pipeline_extra_flag", "pipeline --config x.json --t-final 2"),
             ("missing_config", "lemmas --config missing.json"),
             ("refused_exact_gaussian", "evolve --exact --gaussian 1 1.5"),
+            *((f"no_data_{sub}", sub) for sub in ("basis", "evolve", "energy", "radiation")),
         ]
     )
     # (name, subcommand, config file contents): one schema keyword violated each

@@ -3,6 +3,8 @@
 Subcommands: lemmas, basis, evolve, energy, radiation, nlw, pipeline.
 radiation takes d = 3 data (a Gaussian, or the monopole mode R, A), nlw
 Gaussian data only, and no subcommand a Gaussian beside mode options.
+No default is data: basis, evolve, energy and radiation refuse a run
+given neither A nor a Gaussian.
 Each option is written once, as a property of schemas/<sub>.json: its
 type, range, default and help text live there, and the flags
 (--key-name for the property key_name) are generated from it.  Each
@@ -15,11 +17,14 @@ number, 801.0 is an integer, unknown keys are rejected) and reports
 one error by its path and message; a schema with any other keyword is
 refused when it is loaded.  The tests hold the checker to a Draft
 2020-12 reference validator.  Artifacts are a JSON report
-(<out>.json, also echoed to stdout) plus subcommand-specific CSV
-tables, written atomically; a run whose config file is named like one
-of its <out>.* artifacts is refused.  Relative output paths resolve against
-$WAVECHANNEL_OUTDIR when it is set.  The output directory is made with
-the first artifact, so a refused run writes nothing.
+(<out>.json, also echoed to stdout) plus CSV tables, written
+atomically: <out>.csv for evolve, energy, radiation and nlw, and
+<out>.s.csv, <out>.dru0.csv and <out>.l6.csv for pipeline.  A report
+names no table and repeats no config value.  A run whose config file
+is named like one of its <out>.* artifacts is refused.  Relative output
+paths resolve against $WAVECHANNEL_OUTDIR when it is set.  The output
+directory is made with the first artifact, so a refused run writes
+nothing.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure
 (blow-up, contaminated diagnostics, violated exact inequality), the
@@ -83,21 +88,15 @@ class NumericalFailure(Exception):
 
 
 def _plain(x: Any) -> Any:
-    """Make a report JSON-serializable and deterministic."""
+    """A report or config as JSON: non-finite floats as strings, Fractions as num/den."""
     if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, list):
         return [_plain(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_plain(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
-        x = x.item()
     if isinstance(x, float) and not math.isfinite(x):
         return repr(x)
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, Path):
-        return str(x)
     return x
 
 
@@ -357,6 +356,10 @@ def _effective_config(sub: str, args: argparse.Namespace) -> dict:
     mode_set = cfg.get("d", 3) != 3 or cfg.get("nu") or cfg.get("A") or cfg.get("B")
     if cfg.get("gaussian") is not None and mode_set:
         raise UsageError("gaussian data is d = 3 data and takes no d, nu, A or B")
+    # no default is data, and the schema keywords cannot say "A or gaussian"
+    if "A" in props and cfg["A"] is None and cfg.get("gaussian") is None:
+        flags = "--A or --gaussian" if "gaussian" in props else "--A"
+        raise UsageError(f"no data to run on: give {flags}")
     return cfg
 
 
@@ -385,7 +388,7 @@ def _solver_config(cfg: dict, **overrides: Any) -> rs.SolverConfig:
 # handlers
 
 
-def _run_lemmas(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
+def _run_lemmas(cfg: dict) -> tuple[dict, dict]:
     variants = polylib.VARIANTS if cfg["variant"] == "all" else (cfg["variant"],)
     rng = random.Random(cfg["seed"])
     per: dict[str, dict] = {}
@@ -401,11 +404,7 @@ def _run_lemmas(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
             if chk.rhs > 0:
                 margin = float((chk.rhs - chk.lhs) / chk.rhs)
                 worst = margin if worst is None else min(worst, margin)
-        per[variant] = {
-            "trials": cfg["trials"],
-            "violations": violations,
-            "min_relative_margin": worst,
-        }
+        per[variant] = {"violations": violations, "min_relative_margin": worst}
         total += violations
     report = {"violations": total, "variants": per}
     if total:
@@ -414,9 +413,9 @@ def _run_lemmas(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
     return report, {}
 
 
-def _run_basis(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
+def _run_basis(cfg: dict) -> tuple[dict, dict]:
     mode = _mode_from_cfg(cfg)
-    report: dict[str, Any] = {"mode": json.loads(eb.to_json(mode))}
+    report: dict[str, Any] = {}
     for item in cfg["check"]:
         if item == "part2":
             n = eb.series_norms(mode)
@@ -456,7 +455,7 @@ def _chain_terms(desc: ev.ExteriorDescriptor) -> list[dict]:
     ]
 
 
-def _run_evolve(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
+def _run_evolve(cfg: dict) -> tuple[dict, dict]:
     if cfg["exact"]:
         if cfg.get("gaussian") is not None:
             raise UsageError("exact evolution needs basis-backed data, not a gaussian")
@@ -471,25 +470,14 @@ def _run_evolve(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
                 vals = desc.eval(r[cov], float(t))
                 frames += (np.full(np.count_nonzero(cov), t), r[cov], vals.u, vals.ut)
         columns = [np.concatenate(frames[k::4]) for k in range(4)]
-        return {
-            "exact": True,
-            "chains": _chain_terms(desc),
-            "rows": len(columns[0]),
-            "csv": names[".csv"],
-        }, {".csv": columns}
+        return {"chains": _chain_terms(desc), "rows": len(columns[0])}, {".csv": columns}
     config = _solver_config(cfg)
     fld = _field_from_cfg(cfg, config)
     traj = rs.solve_mode_linear(fld, config)
     _refuse_blow_up(traj)
     n_snap, n_r = traj.u.shape
     columns = (np.repeat(traj.times, n_r), np.tile(traj.r, n_snap), traj.u.ravel(), traj.ut.ravel())
-    return {
-        "exact": False,
-        "lifted_dim": fld.lifted_dim,
-        "stored_times": len(traj.times),
-        "blown_up": traj.blown_up,
-        "csv": names[".csv"],
-    }, {".csv": columns}
+    return {"lifted_dim": fld.lifted_dim, "stored_times": len(traj.times)}, {".csv": columns}
 
 
 def _refuse_blow_up(traj: rs.Trajectory) -> None:
@@ -501,23 +489,21 @@ def _refuse_blow_up(traj: rs.Trajectory) -> None:
         )
 
 
-def _run_energy(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
+def _run_energy(cfg: dict) -> tuple[dict, dict]:
     config = _solver_config(cfg)
     fld = _field_from_cfg(cfg, config)
     traj = rs.solve_mode_linear(fld, config)
     _refuse_blow_up(traj)
     series = rs.cone_energy(traj, cfg["cone_radius"])
     return {
-        "cone_radius": cfg["cone_radius"],
         "initial": float(series.values[0]),
         "final": float(series.values[-1]),
         "max": float(np.max(series.values)),
         "truncated": series.truncated,
-        "csv": names[".csv"],
     }, {".csv": (series.times, series.values)}
 
 
-def _run_radiation(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
+def _run_radiation(cfg: dict) -> tuple[dict, dict]:
     r = np.linspace(0.0, cfg["r_max"], cfg["n_r"])
     if cfg.get("gaussian") is not None:
         amp, width = cfg["gaussian"]
@@ -536,22 +522,19 @@ def _run_radiation(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
         "norm2": profile.norm2(),
         "isometry_ratio": isometry,
         "tails": [{"r": x, "tail": rad.tail_S(profile, x)} for x in cfg["tail_radii"]],
-        "csv": names[".csv"],
     }, {".csv": (profile.s, profile.g)}
 
 
-def _run_nlw(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
+def _run_nlw(cfg: dict) -> tuple[dict, dict]:
     config = _solver_config(cfg, nonlinearity=cfg["nonlinearity"])
     traj = rs.solve_quintic(rs.gaussian_bump(config, *cfg["gaussian"]), config)
     _refuse_blow_up(traj)
     series = rs.energy_series(traj)
     drift = float((np.max(series) - np.min(series)) / abs(series[0])) if series[0] != 0 else 0.0
     report: dict[str, Any] = {
-        "nonlinearity": cfg["nonlinearity"],
         "blown_up": False,
         "initial_energy": float(series[0]),
         "relative_drift": drift,
-        "csv": names[".csv"],
     }
     if cfg["probe_radii"] is not None:
         tails = rs.l6_tail(traj, cfg["probe_radii"])
@@ -561,7 +544,7 @@ def _run_nlw(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
     return report, {".csv": (traj.times, series)}
 
 
-def _run_pipeline(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
+def _run_pipeline(cfg: dict) -> tuple[dict, dict]:
     mode = eb.build_exterior_mode(eb.ModeSpec(3, 0), cfg["R"], A=cfg["A"])
     config = rs.SolverConfig(
         r_max=cfg["r_max"], n_r=cfg["n_r"], t_final=cfg["t_final"]
@@ -582,14 +565,13 @@ def _run_pipeline(cfg: dict, names: dict[str, str]) -> tuple[dict, dict]:
             "exponent": table.exponent,
             "residual": table.residual,
             "truncated": table.truncated,
-            "csv": names[ext],
         }
         columns[ext] = (table.r, table.values)
     return out, columns
 
 
-# (config, table file names by extension) -> (report, table columns by extension)
-_HANDLERS: dict[str, Callable[[dict, dict[str, str]], tuple[dict, dict]]] = {
+# config -> (report, table columns by extension)
+_HANDLERS: dict[str, Callable[[dict], tuple[dict, dict]]] = {
     "lemmas": _run_lemmas,
     "basis": _run_basis,
     "evolve": _run_evolve,
@@ -641,7 +623,7 @@ def run(argv: Sequence[str]) -> int:
         cfg = _effective_config(sub, args)
         base = _resolve_base(cfg["out"])
         _check_config_survives(args.config, base)
-        body, columns = _HANDLERS[sub](cfg, {ext: base.name + ext for ext in _TABLES[sub]})
+        body, columns = _HANDLERS[sub](cfg)
         for ext, header in _TABLES[sub].items():
             _write_csv(_with_ext(base, ext), header, *columns[ext])
         sys.stdout.write(_emit(sub, cfg, body, base, "report"))

@@ -136,10 +136,6 @@ class DecayReport:
         if not (np.all(np.isfinite(v)) and np.all(v >= 0)):
             raise ValueError("sampled values must be finite and nonnegative")
 
-    @property
-    def samples(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.r.tolist(), self.values.tolist()))
-
 
 def worst_case_S(params: RecursionParams, R: float, r_max: float) -> DecayReport:
     """Extremal S saturating the recursion on a geometric grid.

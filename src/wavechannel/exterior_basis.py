@@ -20,7 +20,6 @@ exact ratio rather than a quadrature estimate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -292,16 +291,3 @@ def decay_bound_check(data: ExteriorModeData, R1: float) -> DecayBound:
         assert tail == 0, "vanishing reference forces P = 0, hence zero tail"
         return DecayBound(0.0, 0.0, 0.0, True)
     return DecayBound(float(tail), float(reference), float(tail / reference), False)
-
-
-def to_json(data: ExteriorModeData) -> str:
-    """Serialize a mode record to the interchange JSON form."""
-    return json.dumps(
-        {
-            "d": data.spec.d,
-            "nu": data.spec.nu,
-            "R": data.R,
-            "A": list(data.A),
-            "B": list(data.B),
-        }
-    )

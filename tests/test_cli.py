@@ -4,6 +4,7 @@ import argparse
 import ast
 import dataclasses
 import json
+import random
 import re
 from importlib import resources
 from pathlib import Path
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
+from wavechannel import polylib
 from wavechannel import radial_solver as rs
 from wavechannel import radiation3 as rad
 from wavechannel import cli
@@ -124,6 +126,15 @@ class TestValidation:
         assert "gaussian data is d = 3 data" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("sub", ["basis", "evolve", "energy", "radiation"])
+    def test_no_data_exits_1_naming_the_flags(self, outdir, capsys, sub):
+        # A had the default [], which no mode but (2, 0) takes: a run given
+        # no data failed on "position coefficients: expected 1, got 0"
+        flags = "--A" if sub == "basis" else "--A or --gaussian"
+        assert run([sub]) == 1
+        assert capsys.readouterr().err == f"error: no data to run on: give {flags}\n"
+        assert list(outdir.iterdir()) == []
+
     def test_out_of_range_flag_exits_1(self, capsys):
         assert run(["evolve", "--n-r", "4"]) == 1
         assert "n_r" in capsys.readouterr().err
@@ -209,21 +220,29 @@ class TestSchemas:
         assert run(["pipeline", "--config", "x.json", "--t-final", "2"]) == 1
 
     def test_starting_config_equals_the_frozen_defaults(self, outdir):
-        # json.dumps tells 1 from 1.0, as the artifacts' config echo does;
-        # pipeline and nlw get their required keys from a config file
+        # json.dumps tells 1 from 1.0, as the artifacts' config echo does.
+        # Data comes from a config file: pipeline's and nlw's required keys,
+        # and A, which the frozen file lists as null since it has no default.
         frozen = json.loads(FROZEN_DEFAULTS.read_text())
         assert sorted(frozen) == sorted(SUBCOMMANDS)
-        required = {"pipeline": dict(PIPE_CFG), "nlw": {"gaussian": [0.5, 1.5]}}
+        data = {
+            "pipeline": dict(PIPE_CFG),
+            "nlw": {"gaussian": [0.5, 1.5]},
+            **{sub: {"A": [1.0]} for sub in ("basis", "evolve", "energy", "radiation")},
+        }
         for sub in SUBCOMMANDS:
-            keys = required.get(sub, {})
-            assert sorted(keys) == sorted(cli._schema(sub).get("required", [])), sub
+            given = data.get(sub, {})
+            required = [k for k in given if k not in frozen[sub]]
+            assert sorted(required) == sorted(cli._schema(sub).get("required", [])), sub
+            assert all(frozen[sub][k] is None for k in given if k in frozen[sub]), sub
             config = None
-            if keys:
-                config = str(outdir / f"{sub}_required.json")
-                Path(config).write_text(json.dumps(keys))
+            if given:
+                config = str(outdir / f"{sub}_data.json")
+                Path(config).write_text(json.dumps(given))
             got = cli._effective_config(sub, argparse.Namespace(config=config))
-            got = {k: v for k, v in got.items() if k not in keys}
-            assert json.dumps(got, sort_keys=True) == json.dumps(frozen[sub], sort_keys=True), sub
+            assert {k: got.pop(k) for k in given} == given, sub
+            want = {k: v for k, v in frozen[sub].items() if k not in given}
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), sub
 
     def test_empty_probe_radii_in_a_config_exits_1(self, outdir, capsys):
         cfg = outdir / "noprobes.json"
@@ -241,9 +260,21 @@ class TestLemmas:
         variants = doc["report"]["variants"]
         assert sorted(variants) == ["deriv_even", "deriv_odd", "sup_even", "sup_odd"]
         for stats in variants.values():
-            assert stats["trials"] == 25
             assert stats["violations"] == 0
             assert stats["min_relative_margin"] >= 0.0
+
+    def test_margin_is_the_smallest_over_the_draws(self, outdir):
+        # min over the draws of random.Random(seed) of (rhs - lhs) / rhs, by exact lemma_check
+        assert run("lemmas --variant deriv_even --trials 20 --degree-max 6 --seed 5".split()) == 0
+        stats = read_json(outdir, "lemmas.json")["report"]["variants"]["deriv_even"]
+        rng = random.Random(5)
+        checks = [
+            polylib.lemma_check(coeffs, "deriv_even", L, l)
+            for coeffs, L, l in (polylib.random_lemma_case(rng, 6) for _ in range(20))
+        ]
+        margins = [float((c.rhs - c.lhs) / c.rhs) for c in checks if c.rhs > 0]
+        assert stats["violations"] == 0
+        assert stats["min_relative_margin"] == min(margins) >= 0.0
 
     def test_single_variant(self, outdir):
         assert run(["lemmas", "--variant", "sup_odd", "--trials", "10"]) == 0
@@ -271,11 +302,12 @@ class TestBasis:
         )
         assert rc == 0
         rep = read_json(outdir, "basis.json")["report"]
-        assert rep["part2"]["du0_norm2"] == 1.0
-        assert rep["part2"]["u1_norm2"] == 0.0
-        assert rep["part3"][0]["R1"] == 2.0
-        assert rep["part3"][0]["ratio"] == 1.0
-        assert rep["part3"][0]["trivial"] is False
+        # u0 = 1/r on r > 1, u1 = 0: no angular part, int |u0'|^2 r^2 dr = 1,
+        # and the R1 = 2 tail, 1/2, saturates its reference (R/R1) * 1
+        assert rep["part2"] == {"angular": 0.0, "du0_norm2": 1.0, "u1_norm2": 0.0}
+        assert rep["part3"] == [
+            {"R1": 2.0, "tail": 0.5, "reference": 0.5, "ratio": 1.0, "trivial": False}
+        ]
 
     def test_explicit_tail_radii(self, outdir):
         rc = run("basis --d 5 --nu 1 --R 1 --A 1 2 --B 1 --R1 2 4 8".split())
@@ -294,9 +326,8 @@ class TestEvolve:
         )
         assert rc == 0
         rep = read_json(outdir, "evolve.json")["report"]
-        assert rep["exact"] is True
         (chain,) = rep["chains"]
-        assert chain["kind"] == "position" and chain["k"] == 1
+        assert chain["kind"] == "position" and chain["k"] == 1 and chain["weight"] == 1.0
         (mono,) = chain["monomials"]
         assert mono == {"coeff": {"num": 1, "den": 1}, "r_power": -1, "t_power": 0}
         table = read_csv(outdir, "evolve.csv")
@@ -304,6 +335,18 @@ class TestEvolve:
         # static 1/r data: u * r = 1 at every covered node and time
         assert np.allclose(table[:, 2] * table[:, 1], 1.0, rtol=1e-12)
         assert np.all(table[:, 3] == 0.0)
+
+    def test_chain_weights_are_the_mode_coefficients(self, outdir):
+        # A = (0.5, 1) weighs the position chains k = 1, 2 and B = (0.25) the velocity chain
+        rc = run(
+            "evolve --exact --d 7 --A 0.5 1 --B 0.25"
+            " --r-max 8 --n-r 33 --t-final 1 --frames 2".split()
+        )
+        assert rc == 0
+        chains = read_json(outdir, "evolve.json")["report"]["chains"]
+        assert [(c["kind"], c["k"], c["weight"]) for c in chains] == [
+            ("position", 1, 0.5), ("position", 2, 1.0), ("velocity", 1, 0.25)
+        ]
 
     def test_exact_rejects_gaussian_data(self, capsys):
         assert run(["evolve", "--exact", "--gaussian", "1", "2"]) == 1
@@ -316,10 +359,14 @@ class TestEvolve:
         )
         assert rc == 0
         rep = read_json(outdir, "evolve.json")["report"]
-        assert rep["blown_up"] is False
+        assert rep["lifted_dim"] == 3
         table = read_csv(outdir, "evolve.csv")
         assert len(np.unique(table[:, 0])) == rep["stored_times"]
         assert table.shape[1] == 4
+
+    def test_degree_nu_mode_steps_in_lifted_dimension_d_plus_2nu(self, outdir):
+        assert run("evolve --d 3 --nu 1 --A 1 --B 0 --r-max 8 --n-r 81 --t-final 0.5".split()) == 0
+        assert read_json(outdir, "evolve.json")["report"]["lifted_dim"] == 5
 
     def test_blown_up_run_exits_2_with_a_header_only_table(self, outdir, capsys):
         # lifted D = 7 blows up before t = 4 on this grid, as in TestEnergy
@@ -364,9 +411,15 @@ class TestEnergy:
         table = read_csv(outdir, "energy.csv")
         assert table[0, 1] == rep["initial"]
         assert table[-1, 1] == rep["final"]
+        assert table[:, 1].max() == rep["max"] == rep["initial"]  # E(t) falls as 1/(2 + t)
         # static 1/r data: the energy in r >= r0 + t is exactly 1/(r0 + t)
         t, e = table[:, 0], table[:, 1]
         assert np.allclose(e, 1.0 / (2.0 + t), rtol=1e-3)
+
+    def test_gaussian_series_is_truncated(self, outdir):
+        # no descriptor gives the energy beyond r_max, so the series stops there
+        assert run("energy --gaussian 1 1.5 --r-max 24 --n-r 481 --t-final 2".split()) == 0
+        assert read_json(outdir, "energy.json")["report"]["truncated"] is True
 
     def test_blown_up_run_exits_2(self, outdir, capsys):
         # lifted D = 7 blows up near t = 2.7 on this grid (ROADMAP item 1);
@@ -397,6 +450,16 @@ class TestRadiation:
         assert tails == sorted(tails, reverse=True)
         table = read_csv(outdir, "radiation.csv")
         assert table.shape[1] == 2
+
+    def test_gaussian_norm_and_charge_in_closed_form(self, outdir):
+        # g(+-r) = (r u0)'/2 for u0 = a exp(-(r/w)^2), u1 = 0: int g ds = [r u0] = 0,
+        # and int g^2 ds = (1/2) int r^2 u0'^2 dr = 3 sqrt(pi) a^2 w / (16 sqrt 2)
+        a, w = 1.0, 1.5
+        assert run(f"radiation --gaussian {a} {w}".split()) == 0
+        rep = read_json(outdir, "radiation.json")["report"]
+        assert rep["charge"] == pytest.approx(0.0, abs=1e-12)
+        norm2 = 3.0 * np.sqrt(np.pi) * a * a * w / (16.0 * np.sqrt(2.0))
+        assert rep["norm2"] == pytest.approx(norm2, rel=1e-8)
 
     def test_monopole_mode_is_radiation_free_outside(self, outdir):
         rc = run("radiation --R 1 --A 1.0 --tail-radii 2 4 8".split())
@@ -447,6 +510,7 @@ class TestNlw:
         rep = read_json(outdir, "nlw.json")["report"]
         assert rep["blown_up"] is False
         assert rep["relative_drift"] < 1e-2
+        assert [row["r"] for row in rep["l6_tails"]] == [4.0, 8.0]
         values = [row["value"] for row in rep["l6_tails"]]
         assert values[0] > values[1] >= 0.0
         table = read_csv(outdir, "nlw.csv")
@@ -597,11 +661,33 @@ class TestPipeline:
         assert rep["radiation_tail"]["exponent"] == "inf"
         assert rep["gradient_tail"]["exponent"] == pytest.approx(1.0, abs=0.05)
         assert rep["sixth_power_tail"]["exponent"] >= 1.8
-        assert rep["t_end"] >= 4.0
-        for name in ("pipeline.s.csv", "pipeline.dru0.csv", "pipeline.l6.csv"):
+        # the run ends on the first stored time at or past t_final 4 (a
+        # stored time every 13 steps of dt 0.009), and the cutoff starts
+        # beyond the last probe 32 by twice that time plus two cells (dr
+        # 0.02), 4 wide
+        assert 4.0 <= rep["t_end"] < 4.0 + 13 * 0.009
+        c0 = 32.0 + 2.0 * rep["t_end"] + 2.0 * 0.02
+        assert rep["cutoff"] == pytest.approx([c0, c0 + 4.0], abs=1e-12)
+        assert rep["cutoff"] == pytest.approx([40.23, 44.23], abs=1e-12)
+        for key, name in (
+            ("radiation_tail", "pipeline.s.csv"),
+            ("gradient_tail", "pipeline.dru0.csv"),
+            ("sixth_power_tail", "pipeline.l6.csv"),
+        ):
             table = read_csv(outdir, name)
             assert table.shape == (5, 2)
             assert list(table[:, 0]) == PIPE_CFG["probe_radii"]
+            # no DecayReport is built truncated: ROADMAP items 3 and 13
+            assert rep[key]["truncated"] is False
+            if key != "radiation_tail":
+                # the fit through the table's (r, value) in log-log space
+                x, y = np.log(table[:, 0]), np.log(table[:, 1])
+                slope, intercept = np.polyfit(x, y, 1)
+                resid = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+                assert rep[key]["exponent"] == pytest.approx(-slope, rel=1e-12)
+                assert rep[key]["residual"] == pytest.approx(resid, rel=1e-9, abs=1e-15)
+        # all five radiation tails sit at the floor: no fit, no misfit
+        assert rep["radiation_tail"]["residual"] == 0.0
 
     def test_artifacts_are_reproducible(self, outdir, monkeypatch):
         cfg = outdir / "pipe.json"

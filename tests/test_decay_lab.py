@@ -110,15 +110,6 @@ class TestFitExponent:
 
 
 class TestDecayReport:
-    def test_samples_round_trip(self):
-        rep = dl.DecayReport(
-            r=np.array([1.0, 2.0, 4.0]),
-            values=np.array([1.0, 0.5, 0.25]),
-            exponent=1.0,
-            residual=0.0,
-        )
-        assert rep.samples == ((1.0, 1.0), (2.0, 0.5), (4.0, 0.25))
-
     def test_rejects_unsorted_or_negative(self):
         with pytest.raises(ValueError):
             dl.DecayReport(

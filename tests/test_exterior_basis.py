@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -130,14 +129,6 @@ class TestBuild:
         # P(z) = 0.5 z^2 + 2, Q(z) = 3 z
         assert data.position_poly().coeffs == (Fraction(2), Fraction(0), Fraction(1, 2))
         assert data.velocity_poly().coeffs == (Fraction(0), Fraction(3))
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(7)
-        data = random_mode(rng, 5, 2)
-        rec = json.loads(eb.to_json(data))
-        assert set(rec) == {"d", "nu", "R", "A", "B"}
-        spec = eb.ModeSpec(rec["d"], rec["nu"])
-        assert eb.build_exterior_mode(spec, rec["R"], rec["A"], rec["B"]) == data
 
 
 class TestEvalProfiles:
@@ -383,13 +374,10 @@ class TestDecayBound:
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=60, deadline=None)
-def test_norms_nonnegative_and_json_stable(d, nu, seed):
+def test_norms_nonnegative(d, nu, seed):
     rng = np.random.default_rng(seed)
     data = random_mode(rng, d, nu)
     norms = eb.series_norms(data)
     assert norms.angular >= 0.0
     assert norms.u1_norm2 >= 0.0
     assert norms.du0_norm2 >= 0.0
-    rec = json.loads(eb.to_json(data))
-    spec = eb.ModeSpec(rec["d"], rec["nu"])
-    assert eb.build_exterior_mode(spec, rec["R"], rec["A"], rec["B"]) == data
