@@ -38,7 +38,9 @@ Floats are printed with 17 significant digits (%.17g, the bytes of
 format(v, ".17g")), so an identical config (lemmas, the one subcommand
 that draws, holds its seed there) reproduces artifacts byte for byte.
 A table is formatted from its columns one row template per block of
-rows, and streamed to disk block by block.
+rows, and streamed to disk block by block.  A block formats each
+column's distinct magnitudes once and prints a negative cell as '-'
+before its magnitude's text.
 """
 
 from __future__ import annotations
@@ -128,20 +130,37 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 _CSV_BLOCK_ROWS = 4096
 
 
+def _csv_cells(col: np.ndarray) -> np.ndarray:
+    """The `%.17g` text of each float of `col`, each distinct magnitude formatted once.
+
+    For every x but NaN, '%.17g' % x is '-' + '%.17g' % abs(x) when the
+    sign bit of x is set, else '%.17g' % abs(x); both NaNs print 'nan'.
+    """
+    mags, where = np.unique(np.abs(col), return_inverse=True)
+    text = ("%.17g\n" * len(mags) % tuple(mags.tolist())).split("\n")[:-1]
+    cells = np.array(text, dtype=object)[where]
+    neg = np.signbit(col) & ~np.isnan(col)
+    cells[neg] = "-" + cells[neg]
+    return cells
+
+
 def _write_csv(path: Path, header: Sequence[str], *columns: ArrayLike) -> None:
     """The header, then one row per index of the equal-length 1-D float columns.
 
-    Each cell is `%.17g`, the bytes of format(float(v), ".17g"); no
-    columns give the header alone.
+    Each cell is `%.17g`, the bytes of format(float(v), ".17g").  A block
+    of rows formats each column's distinct magnitudes once, prints a
+    negative cell as '-' before its magnitude's text (`_csv_cells`), and
+    fills one row template with the cells.  No columns give the header
+    alone.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     n_rows = len(cols[0]) if cols else 0
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    row = ",".join(["%s"] * len(cols)) + "\n"
 
     def chunks() -> Iterator[str]:
         yield ",".join(header) + "\n"
         for i in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[i : i + _CSV_BLOCK_ROWS] for c in cols])
+            block = np.column_stack([_csv_cells(c[i : i + _CSV_BLOCK_ROWS]) for c in cols])
             yield (row * len(block)) % tuple(block.ravel().tolist())
 
     _atomic_write(path, chunks())
@@ -561,12 +580,10 @@ def _run_pipeline(cfg: dict) -> tuple[dict, dict]:
         ".l6.csv": ("sixth_power_tail", rep.l6_report),
     }
     for ext, (key, table) in reports.items():
-        out[key] = {
-            "exponent": table.exponent,
-            "residual": table.residual,
-            "truncated": table.truncated,
-        }
+        out[key] = {"exponent": table.exponent, "residual": table.residual}
         columns[ext] = (table.r, table.values)
+    # always false; perfbench reads it until ROADMAP item 8, and item 3 decides it
+    out["sixth_power_tail"]["truncated"] = rep.l6_report.truncated
     return out, columns
 
 

@@ -514,15 +514,17 @@ def lemma_check(poly, variant: str, L, l=None) -> LemmaCheck:
     z = Poly([0, 1])
     zero = Fraction(0)
     if variant == "sup_odd":
-        lhs = _interval_max(p * p, p.deriv(), zero, L)
-        rhs = Fraction((k + 1) ** 2) / L * (p * p).integrate(zero, L)
+        p2 = p * p
+        lhs = _interval_max(p2, p.deriv(), zero, L)
+        rhs = Fraction((k + 1) ** 2) / L * p2.integrate(zero, L)
     elif variant == "deriv_odd":
         q = z * p.deriv()
         lhs = (q * q).integrate(zero, l)
         rhs = Fraction(2 * k * (k + 1)) * l / L * (p * p).integrate(zero, L)
     elif variant == "sup_even":
-        lhs = _interval_max(z * p * p, p + (2 * z * p.deriv()), zero, L)
-        rhs = Fraction(2 * (k + 1) ** 2) / L * (z * p * p).integrate(zero, L)
+        zp2 = z * p * p
+        lhs = _interval_max(zp2, p + (2 * z * p.deriv()), zero, L)
+        rhs = Fraction(2 * (k + 1) ** 2) / L * zp2.integrate(zero, L)
     else:  # deriv_even
         q = z * p.deriv()
         lhs = (z * q * q).integrate(zero, l)

@@ -316,13 +316,20 @@ def _divmod_reference(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fracti
 
 
 def _remainder_chain_reference(f: list[Fraction]) -> list[list[Fraction]]:
-    """f, f' and the negated remainders, down to the last nonzero one."""
+    """f, f' and the negated remainders, down to the last nonzero one.
+
+    Each remainder is divided by the magnitude of its leading
+    coefficient, a positive factor that keeps the Fractions small and
+    leaves each member's content-free integer multiple (`_primitive`) as
+    it is.
+    """
     chain = [f, [i * c for i, c in enumerate(f)][1:]]
     while len(chain[-1]) > 1:
         rem = _divmod_reference(chain[-2], chain[-1])[1]
         if rem == [0]:
             break
-        chain.append([-c for c in rem])
+        lead = abs(rem[-1])
+        chain.append([-c / lead for c in rem])
     return chain
 
 

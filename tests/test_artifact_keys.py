@@ -92,7 +92,8 @@ KEYS: dict[str, dict[str, str]] = {
     "pipeline": {
         "report.cutoff": CANONICAL_PIPELINE,
         "report.t_end": CANONICAL_PIPELINE,
-        **{f"report.{tail}.{key}": CANONICAL_PIPELINE for tail in TAILS for key in ("exponent", "residual", "truncated")},
+        **{f"report.{tail}.{key}": CANONICAL_PIPELINE for tail in TAILS for key in ("exponent", "residual")},
+        "report.sixth_power_tail.truncated": CANONICAL_PIPELINE,
     },
 }
 for keys in KEYS.values():
@@ -102,8 +103,6 @@ for keys in KEYS.values():
 ALWAYS_FALSE = {
     ("nlw", "report.blown_up"): "ROADMAP item 8 drops perfbench's read of it, then item 13 the key",
     ("pipeline", "report.sixth_power_tail.truncated"): "ROADMAP item 8 drops perfbench's read of it, then item 3 decides it",
-    ("pipeline", "report.radiation_tail.truncated"): "ROADMAP item 13, with the sixth-power one",
-    ("pipeline", "report.gradient_tail.truncated"): "ROADMAP item 13, with the sixth-power one",
 }
 
 # every type a report or config echo hands to cli._plain

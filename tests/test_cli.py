@@ -661,6 +661,8 @@ class TestPipeline:
         assert rep["radiation_tail"]["exponent"] == "inf"
         assert rep["gradient_tail"]["exponent"] == pytest.approx(1.0, abs=0.05)
         assert rep["sixth_power_tail"]["exponent"] >= 1.8
+        # no DecayReport is built truncated: ROADMAP items 3 and 13
+        assert rep["sixth_power_tail"]["truncated"] is False
         # the run ends on the first stored time at or past t_final 4 (a
         # stored time every 13 steps of dt 0.009), and the cutoff starts
         # beyond the last probe 32 by twice that time plus two cells (dr
@@ -677,8 +679,6 @@ class TestPipeline:
             table = read_csv(outdir, name)
             assert table.shape == (5, 2)
             assert list(table[:, 0]) == PIPE_CFG["probe_radii"]
-            # no DecayReport is built truncated: ROADMAP items 3 and 13
-            assert rep[key]["truncated"] is False
             if key != "radiation_tail":
                 # the fit through the table's (r, value) in log-log space
                 x, y = np.log(table[:, 0]), np.log(table[:, 1])
@@ -761,8 +761,24 @@ def _csv_columns(n_rows: int) -> list[np.ndarray]:
     return list(signs * 10.0 ** rng.uniform(-300, 300, size=(4, n_rows)))
 
 
+def _frame_major_columns() -> list[np.ndarray]:
+    """An `evolve`-like table: 3 times of 5 radii each, a constant column,
+    and a column of +-x pairs of one magnitude beside +-0."""
+    t = np.repeat([0.0, 0.1, 0.30000000000000004], 5)
+    r = np.tile(np.linspace(1.5, 3.5, 5), 3)
+    return [t, r, np.full(15, 1 / 3), np.tile([0.1, -0.1, 0.0, -0.0, -0.1], 3)]
+
+
+_ACROSS_BLOCKS = 2 * cli._CSV_BLOCK_ROWS + 3
+
 CSV_TABLES = {
     "signed_zeros": [[0.0, -0.0], [-0.0, 0.0]],
+    "frame_major": _frame_major_columns(),
+    "nan_both_signs": [[np.nan, -np.nan, 1.0], [-np.nan, -1.0, np.nan]],
+    "magnitudes_repeat_across_blocks": [
+        np.resize([0.1, -0.1, 1 / 3, -0.0, 2.5e-300, -np.inf], _ACROSS_BLOCKS),
+        np.resize(np.linspace(-1.0, 1.0, 11) / 7, _ACROSS_BLOCKS),
+    ],
     "subnormal": [[5e-324, -5e-324], [np.nextafter(0.0, 1.0), 2.2250738585072014e-308]],
     "extremes": [[1e300, -1e300, 1e-300], [-1e-300, 1.7976931348623157e308, 0.1]],
     "nonfinite": [[np.nan, np.inf, -np.inf], [-np.inf, np.nan, 1.0]],
