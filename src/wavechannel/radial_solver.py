@@ -32,7 +32,8 @@ dimension and descriptor can be stepped as one run (a TrajectoryBatch):
 the runs are interleaved row by row, so a step costs the per-call
 overhead of one run, and each run's snapshots are bit for bit those of
 a run of its own.  The channel identity steps its forward and
-time-reversed runs this way.
+time-reversed runs this way.  A run that blows up is refused with a
+NumericalError, and so is a batch in which any run does.
 
 Cone-energy diagnostics follow the lifted single-mode convention
 int (u_t^2 + u_r^2) r^(D-1) dr without a sphere-area factor; the
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +75,8 @@ class SolverConfig:
     That limit does not make runs stable for D >= 6: next to the origin
     the centred ((D-1)/r) u_r stencil has complex eigenvalues there, and
     runs blow up after a few time units at any cfl (ROADMAP item 1).
+    A run blows up when max|u| passes blowup_threshold or turns
+    non-finite; the stepper then refuses it, a batch as a whole.
     """
 
     r_max: float
@@ -205,7 +208,8 @@ class Trajectory:
     lifted_dim: int
     descriptor: Optional[ExteriorDescriptor]
     config: SolverConfig
-    blown_up: bool = False
+    # _solve refuses a run that blows up; perfbench reads this until ROADMAP item 8
+    blown_up: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -241,8 +245,8 @@ class TrajectoryBatch(tuple):
 
     @property
     def times(self) -> np.ndarray:
-        """The batch's stored times; the times of each of its runs are a prefix of them."""
-        return max((traj.times for traj in self), key=len)
+        """The stored times, which every run of the batch shares."""
+        return self[0].times
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +362,11 @@ def _solve(fields: Sequence[RadialGridField], config: SolverConfig) -> list[Traj
     Returns one Trajectory per field, each bit for bit the one a run of
     that field alone gives.  The fields are interleaved row by row in
     each time level, so a step is the same few array passes over all of
-    them; a run the blow-up threshold stops ends at its own step while
-    the others go on.
+    them.  The health test on the interleaved rows is exactly "every run
+    is healthy" (a sum of squares below the limit bounds each run's
+    max|u|, and the exact test takes the max over all runs), so the
+    first step where any run fails raises NumericalError, naming the
+    last stored time.
     """
     if not fields:
         raise ValueError("a batch needs at least one field")
@@ -423,21 +430,10 @@ def _solve(fields: Sequence[RadialGridField], config: SolverConfig) -> list[Traj
         return out_rows
 
     healthy = _health_test(config.blowup_threshold)
-    stopped: dict[int, int] = {}  # run -> rows it had written when the threshold stopped it
 
-    def stop_unhealthy(rows: np.ndarray, *levels: np.ndarray) -> bool:
-        """Stop each run whose own rows fail the health test; True while one goes on.
-
-        A batch's one dot bounds every run's max^2, so only a batch that
-        fails it comes here.  A stopped run's levels are zeroed, so it
-        cannot overflow while the others step on.
-        """
-        for i in range(m):
-            if not healthy(rows[i::m]):
-                stopped.setdefault(i, k)
-                for level in levels:
-                    level[i::m] = 0.0
-        return len(stopped) < m
+    def blown_up() -> NumericalError:
+        """The refusal of a run that failed the health test with k rows written."""
+        return NumericalError(f"the run blew up after t={((k - 1) * stride) * dt:g}")
 
     # snapshot k of run i is u_rows[k, :, i]; flat, a row of the stack is one time level
     u_rows = np.zeros((n_steps // stride + 1, n_r, m))
@@ -455,7 +451,8 @@ def _solve(fields: Sequence[RadialGridField], config: SolverConfig) -> list[Traj
     first = advance(weights, prev, curr, 0.0)
     first *= 0.5
     first += dt * ut_flat[0]
-    going = healthy(first) or stop_unhealthy(first, prev[0], curr[0], nxt[0])
+    if not healthy(first):
+        raise blown_up()
 
     # The numerical domain of dependence.  A row is +0 exactly when no bit
     # of it is set; from row `support` on, u_0 and u_1 are +0 in every run.
@@ -471,7 +468,7 @@ def _solve(fields: Sequence[RadialGridField], config: SolverConfig) -> list[Traj
     set_bits = np.flatnonzero(prev[1].view(np.uint64) | curr[1].view(np.uint64))
     support = int(set_bits[-1]) // m + 1 if set_bits.size else 0
     n = 1
-    while n <= n_steps and going:
+    while n <= n_steps:
         if (n - 1) % _BLOCK == 0:
             w = support + n + _BLOCK
             if boundary is not None or w + 3 > n_r:
@@ -479,8 +476,8 @@ def _solve(fields: Sequence[RadialGridField], config: SolverConfig) -> list[Traj
             weights, prev, curr, nxt = window(w, prev[0], curr[0], nxt[0])
         rows = advance(weights, curr, nxt, n * dt)
         rows -= prev[1]
-        if not healthy(rows) and not stop_unhealthy(rows, prev[0], curr[0], nxt[0]):
-            break
+        if not healthy(rows):
+            raise blown_up()
         if n % stride == 0:
             e = w * m
             u_flat[k, :e] = curr[1]
@@ -490,22 +487,18 @@ def _solve(fields: Sequence[RadialGridField], config: SolverConfig) -> list[Traj
         prev, curr, nxt = curr, nxt, prev
         n += 1
 
-    trajectories = []
-    for i in range(m):
-        rows_i = stopped.get(i, k)
-        trajectories.append(
-            Trajectory(
-                r=r,
-                times=np.arange(rows_i) * stride * dt,
-                u=np.ascontiguousarray(u_rows[:rows_i, :, i]),
-                ut=np.ascontiguousarray(ut_rows[:rows_i, :, i]),
-                lifted_dim=D,
-                descriptor=desc,
-                config=config,
-                blown_up=i in stopped,
-            )
+    return [
+        Trajectory(
+            r=r,
+            times=np.arange(k) * stride * dt,
+            u=np.ascontiguousarray(u_rows[:, :, i]),
+            ut=np.ascontiguousarray(ut_rows[:, :, i]),
+            lifted_dim=D,
+            descriptor=desc,
+            config=config,
         )
-    return trajectories
+        for i in range(m)
+    ]
 
 
 def solve_mode_linear(
@@ -516,7 +509,8 @@ def solve_mode_linear(
     `initial` is one field, or a sequence of fields that share a grid,
     lifted dimension and descriptor.  Those are stepped as one run and
     come back as a TrajectoryBatch, each trajectory bit for bit the one
-    its field gives alone.
+    its field gives alone.  A run that blows up raises NumericalError,
+    and a batch raises it if any of its runs does.
     """
     if config.nonlinearity != "none":
         raise ValueError("linear solves take nonlinearity='none'")

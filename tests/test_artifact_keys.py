@@ -73,7 +73,6 @@ KEYS: dict[str, dict[str, str]] = {
         "report.initial": "tests/test_cli.py::TestEnergy::test_static_mode_keeps_cone_energy",
         "report.final": "tests/test_cli.py::TestEnergy::test_static_mode_keeps_cone_energy",
         "report.max": "tests/test_cli.py::TestEnergy::test_static_mode_keeps_cone_energy",
-        "report.truncated": "tests/test_cli.py::TestEnergy::test_gaussian_series_is_truncated",
     },
     "radiation": {
         "report.charge": "tests/test_cli.py::TestRadiation::test_gaussian_norm_and_charge_in_closed_form",

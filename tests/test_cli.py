@@ -377,8 +377,9 @@ class TestEvolve:
         assert "blew up" in capsys.readouterr().err
         doc = read_json(outdir, "evolve.json")
         assert "report" not in doc
+        assert list(doc["failure"]) == ["reason"]
         assert doc["failure"]["reason"].startswith("the run blew up after t=")
-        assert doc["failure"]["last_stored_time"] < 4.0
+        assert float(doc["failure"]["reason"].rpartition("=")[2]) < 4.0
         assert (outdir / "evolve.csv").read_text() == "t,r,u,ut\n"
 
     def test_scheme_is_no_longer_an_option(self, outdir, capsys):
@@ -407,7 +408,6 @@ class TestEnergy:
         )
         assert rc == 0
         rep = read_json(outdir, "energy.json")["report"]
-        assert rep["truncated"] is False
         table = read_csv(outdir, "energy.csv")
         assert table[0, 1] == rep["initial"]
         assert table[-1, 1] == rep["final"]
@@ -417,9 +417,12 @@ class TestEnergy:
         assert np.allclose(e, 1.0 / (2.0 + t), rtol=1e-3)
 
     def test_gaussian_series_is_truncated(self, outdir):
-        # no descriptor gives the energy beyond r_max, so the series stops there
+        # no descriptor gives the energy beyond r_max, so the series counts
+        # the grid alone; the report says nothing that `gaussian` does not
         assert run("energy --gaussian 1 1.5 --r-max 24 --n-r 481 --t-final 2".split()) == 0
-        assert read_json(outdir, "energy.json")["report"]["truncated"] is True
+        rep = read_json(outdir, "energy.json")["report"]
+        assert sorted(rep) == ["final", "initial", "max"]
+        assert read_csv(outdir, "energy.csv")[-1, 1] == rep["final"]
 
     def test_blown_up_run_exits_2(self, outdir, capsys):
         # lifted D = 7 blows up near t = 2.7 on this grid (ROADMAP item 1);
@@ -431,8 +434,9 @@ class TestEnergy:
         assert "blew up" in capsys.readouterr().err
         doc = read_json(outdir, "energy.json")
         assert "report" not in doc
+        assert list(doc["failure"]) == ["reason"]
         assert doc["failure"]["reason"].startswith("the run blew up after t=")
-        assert doc["failure"]["last_stored_time"] < 4.0
+        assert float(doc["failure"]["reason"].rpartition("=")[2]) < 4.0
         assert (outdir / "energy.csv").read_text() == "t,E_ext\n"
 
 
@@ -613,9 +617,9 @@ class TestNumericalErrors:
             "nonlinearity": "focusing_quintic", "probe_radii": [2.0, 3.0, 4.0, 5.0],
         }))
         assert run(["pipeline", "--config", str(cfg)]) == 2
-        assert "the nonlinear run blew up" in capsys.readouterr().err
+        assert "the run blew up after t=" in capsys.readouterr().err
         doc = read_json(outdir, "pipeline.json")
-        assert doc["failure"]["reason"].startswith("the nonlinear run blew up")
+        assert doc["failure"]["reason"].startswith("the run blew up after t=")
 
     def test_missing_snapshot_exits_2(self, outdir, monkeypatch):
         # No subcommand runs the channel identity yet, so the energy run's
@@ -631,7 +635,7 @@ class TestNumericalErrors:
         monkeypatch.setattr(rs, "cone_energy", identity_on_stopped_run)
         assert run("energy --d 3 --A 1.0 --cone-radius 2".split()) == 2
         reason = read_json(outdir, "energy.json")["failure"]["reason"]
-        assert reason == "the linear run blew up; last stored snapshot at t=0"
+        assert reason == "the run blew up after t=0"
 
     def test_sites_raise_the_typed_error(self):
         assert issubclass(rs.NumericalError, ValueError)

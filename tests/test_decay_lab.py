@@ -221,7 +221,6 @@ class TestPipeline:
         assert np.allclose(report.dr_u0_report.values, 1.0 / probes, rtol=1e-4)
         assert report.dr_u0_report.exponent == pytest.approx(1.0, abs=0.05)
         assert report.dr_u0_report.exponent == pytest.approx(1.0, abs=1e-3)
-        assert not report.dr_u0_report.truncated
 
     def test_gradient_tail_agrees_with_exact_route(self, report):
         fld = one_over_r_field(72.0, 3601)
@@ -248,10 +247,9 @@ class TestPipeline:
     def test_untruncated_tails_keep_their_initial_value(self, report):
         # each tail is a max over t that includes t = 0, where u0 = 1/r
         # outside R = 1 gives int_{|x|>rho} u0^6 dx = 4 pi / (3 rho^3)
-        if not report.l6_report.truncated:
-            rho = report.l6_report.r
-            bound = (1.0 - 1e-4) * 4.0 * math.pi / (3.0 * rho**3)
-            assert np.all(report.l6_report.values >= bound), report.l6_report.values / bound
+        rho = report.l6_report.r
+        bound = (1.0 - 1e-4) * 4.0 * math.pi / (3.0 * rho**3)
+        assert np.all(report.l6_report.values >= bound), report.l6_report.values / bound
 
     def test_geometry_echo(self, report):
         c0, c1 = report.cutoff

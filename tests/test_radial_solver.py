@@ -211,11 +211,11 @@ class TestReferenceStepper:
     """
 
     @staticmethod
-    def assert_same_run(fld, cfg, blown_up=False):
+    def assert_same_run(fld, cfg):
         solve = rs.solve_mode_linear if cfg.nonlinearity == "none" else rs.solve_quintic
         traj = solve(fld, cfg)
-        times, u, ut, ref_blown_up = folded_leapfrog(fld, cfg)
-        assert traj.blown_up == ref_blown_up is blown_up
+        times, u, ut, blown_up = folded_leapfrog(fld, cfg)
+        assert not blown_up
         assert same_bits(traj.times, times)
         assert same_bits(traj.u, u)
         assert same_bits(traj.ut, ut)
@@ -260,10 +260,15 @@ class TestReferenceStepper:
 
     def test_lifted_blow_up(self):
         # D = 7 is unstable next to the origin (ROADMAP item 1): the run
-        # stops while the window is still far from the edge
+        # blows up while the window is still far from the edge, and the
+        # refusal names the plain leapfrog's last stored time
         cfg = rs.SolverConfig(r_max=16.0, n_r=801, t_final=30.0, store_every=4)
         fld = compact_bump(cfg, amplitude=0.5, support=4.0, lifted_dim=7)
-        self.assert_same_run(fld, cfg, blown_up=True)
+        times, _, _, blown_up = folded_leapfrog(fld, cfg)
+        assert blown_up and times[-1] < cfg.t_final
+        with pytest.raises(rs.NumericalError) as err:
+            rs.solve_mode_linear(fld, cfg)
+        assert str(err.value) == f"the run blew up after t={times[-1]:g}"
 
     @pytest.mark.parametrize("nonlinearity", ["defocusing_quintic", "focusing_quintic"])
     def test_quintic_compact_gaussian(self, nonlinearity):
@@ -289,7 +294,8 @@ class TestBatch:
     """Each trajectory of a batch is bit for bit its separate solve and the plain leapfrog.
 
     The runs share one interleaved stepper: one window over the union of
-    their set bits, one health sum, and a stop for each run of its own.
+    their set bits, and one health test that refuses the batch when any
+    run fails it.
     """
 
     @staticmethod
@@ -299,7 +305,7 @@ class TestBatch:
         for fld, traj in zip(fields, batch):
             alone = rs.solve_mode_linear(fld, cfg)
             times, u, ut, blown_up = folded_leapfrog(fld, cfg)
-            assert traj.blown_up == alone.blown_up == blown_up
+            assert not blown_up
             for run in (traj, alone):
                 assert same_bits(run.times, times)
                 assert same_bits(run.u, u)
@@ -331,35 +337,19 @@ class TestBatch:
         assert np.all(np.signbit(fields[1].ut[tail])) and not np.any(np.signbit(fields[0].ut[tail]))
         self.assert_same_batch(fields, cfg)
 
-    def test_runs_stop_at_their_own_step(self):
-        # the threshold stops the wide bump at an early step; the narrow one runs to the end
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_one_run_blowing_up_refuses_the_batch(self, order):
+        # the threshold fails the wide bump at an early step while the
+        # narrow one stays healthy to the end; the batch is refused at the
+        # wide bump's first unhealthy step, wherever it sits in the batch
         cfg = rs.SolverConfig(r_max=20.0, n_r=201, t_final=12.0, store_every=1, blowup_threshold=0.6)
-        fields = [rows_bump(cfg, m, velocity_only=True) for m in (100, 40)]
-        batch = self.assert_same_batch(fields, cfg)
-        short, full = batch
-        assert short.blown_up and not full.blown_up
-        assert 1 < short.times.size < full.times.size == cfg.n_steps + 1
-        assert same_bits(batch.times, full.times)
-
-    def test_unstable_runs_stop_apart(self):
-        # lifted D = 7 is unstable next to the origin (ROADMAP item 1); the
-        # smaller bump takes longer to blow up
-        cfg = rs.SolverConfig(r_max=16.0, n_r=801, t_final=30.0, store_every=4)
-        fields = [compact_bump(cfg, amplitude, 4.0, lifted_dim=7) for amplitude in (1e-3, 0.5)]
-        late, early = self.assert_same_batch(fields, cfg)
-        assert late.blown_up and early.blown_up and early.times.size < late.times.size
-
-    def test_stopped_run_with_descriptor_ghosts(self):
-        # the loud run stops at its first step and is zeroed; the shared
-        # ghost then feeds its last row, and the wave it sends in passes
-        # the threshold again near the origin while the static run goes on
-        data = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[1.0])
-        cfg = rs.SolverConfig(r_max=8.0, n_r=201, t_final=16.0, store_every=1, blowup_threshold=1.6)
-        fld = rs.lifted_field_from_mode(data, cfg)
-        loud = rs.RadialGridField(r=fld.r, u=10.0 * fld.u, ut=fld.ut, lifted_dim=3, descriptor=fld.descriptor)
-        static, stopped = self.assert_same_batch([fld, loud], cfg)
-        assert stopped.blown_up and stopped.times.size == 1
-        assert not static.blown_up and static.times.size == cfg.n_steps + 1
+        wide, narrow = (rows_bump(cfg, m, velocity_only=True) for m in (100, 40))
+        times, _, _, blown_up = folded_leapfrog(wide, cfg)
+        assert blown_up and 1 < times.size < cfg.n_steps + 1
+        assert folded_leapfrog(narrow, cfg)[3] is False
+        with pytest.raises(rs.NumericalError) as err:
+            rs.solve_mode_linear([wide, narrow][::order], cfg)
+        assert str(err.value) == f"the run blew up after t={times[-1]:g}"
 
     def test_sum_past_the_limit_stops_no_healthy_run(self):
         # each run stays within the threshold while the batch's sum of
@@ -525,10 +515,9 @@ class TestQuintic:
             store_every=10,
         )
         fld = compact_bump(cfg, amplitude=4.0, support=2.0)
-        traj = rs.solve_quintic(fld, cfg)
-        assert traj.blown_up
-        assert traj.times[-1] < cfg.t_final
-        assert np.all(np.isfinite(traj.u))
+        with pytest.raises(rs.NumericalError, match="^the run blew up after t=") as err:
+            rs.solve_quintic(fld, cfg)
+        assert float(str(err.value).rpartition("=")[2]) < cfg.t_final
 
     def test_overflow_flagged_without_threshold(self):
         # with no threshold only non-finite values can stop the run
@@ -542,10 +531,9 @@ class TestQuintic:
         )
         fld = compact_bump(cfg, amplitude=4.0, support=2.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = rs.solve_quintic(fld, cfg)
-        assert traj.blown_up
-        assert traj.times[-1] < cfg.t_final
-        assert np.all(np.isfinite(traj.u)) and np.all(np.isfinite(traj.ut))
+            with pytest.raises(rs.NumericalError, match="^the run blew up after t=") as err:
+                rs.solve_quintic(fld, cfg)
+        assert float(str(err.value).rpartition("=")[2]) < cfg.t_final
 
     def test_quintic_requires_physical_dimension(self):
         cfg = rs.SolverConfig(
