@@ -136,7 +136,15 @@ def _csv_cells(col: np.ndarray) -> np.ndarray:
     For every x but NaN, '%.17g' % x is '-' + '%.17g' % abs(x) when the
     sign bit of x is set, else '%.17g' % abs(x); both NaNs print 'nan'.
     """
-    mags, where = np.unique(np.abs(col), return_inverse=True)
+    mag = np.abs(col)
+    order = np.argsort(mag, kind="stable")
+    ranked = mag[order]
+    first = np.empty(ranked.size, dtype=bool)  # where a new magnitude starts in sorted order
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    mags = ranked[first]
+    where = np.empty(ranked.size, dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
     text = ("%.17g\n" * len(mags) % tuple(mags.tolist())).split("\n")[:-1]
     cells = np.array(text, dtype=object)[where]
     neg = np.signbit(col) & ~np.isnan(col)

@@ -25,7 +25,7 @@ from .radial_solver import (
     SolverConfig,
     l6_tail,
     solve_quintic,
-    _moving_tail_integral,
+    _tail_integrals,
 )
 from .radiation3 import _gradient4, forward_map, tail_S
 
@@ -321,9 +321,7 @@ def nonlinear_decay_pipeline(
     # in d = 3, so the descriptor tail is purely the du0 integral
     integrand = du0**2 * r**2
     beyond = data.descriptor.exterior_energy(float(r[-1]), 0.0)
-    b_values = np.array(
-        [_moving_tail_integral(r, float(p), integrand) + beyond for p in probes]
-    )
+    b_values = np.array([tail + beyond for tail in _tail_integrals(r, probes.tolist(), integrand)])
     b_fit = _fit_or_floor(probes, b_values, FLOOR_TOL * max(grad_mass, 1e-300))
     dr_u0_report = DecayReport(
         r=probes, values=b_values, exponent=b_fit.beta, residual=b_fit.residual

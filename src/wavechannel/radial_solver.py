@@ -18,12 +18,15 @@ case the numerical domain of dependence shrinks by exactly one cell per
 step and every diagnostic accounts for that contaminated band.
 
 With extrapolated ghosts a step updates only a leading window of rows.
-Rows past the support of the first two time levels hold +0 and a row
-whose stencil reads only +0 steps to +0, so the window follows the
-numerical domain of dependence outward (64 rows every 64 steps) and
-covers the grid once it nears the edge; the ghost is formed only from
-then on.  It changes no bit of any snapshot; descriptor runs step every
-row from the start.
+Rows past the last set bit of the two live time levels hold +0, a row
+whose stencil reads only +0 steps to +0, and the front moves at most one
+row a step, so every 64 steps the window is set to that measured support
+plus 64 rows (it never shrinks) and covers the grid once it nears the
+edge; the ghost is formed only from then on.  Far ahead of the light
+cone the precursor underflows to +0, so the measured support lags the
+domain of dependence by hundreds of rows on long runs.  The window
+changes no bit of any snapshot; descriptor runs step every row from the
+start.
 
 Initial data is a RadialGridField.  A run writes its stored steps into
 one (n_snap, n_r) stack each of u and u_t, held by a Trajectory, and the
@@ -56,7 +59,7 @@ from .exterior_basis import ExteriorModeData, ModeSpec, build_exterior_mode, eva
 NONLINEARITIES = ("none", "defocusing_quintic", "focusing_quintic")
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-_BLOCK = 64  # steps between window updates, and the rows the window grows by each time
+_BLOCK = 64  # steps between window updates, and the rows the window reaches past the support
 
 
 class NumericalError(ValueError):
@@ -225,9 +228,9 @@ class Trajectory:
     def dr(self) -> float:
         return float(self.r[1] - self.r[0])
 
-    def ur(self) -> np.ndarray:
-        """Second-order radial derivative of every snapshot."""
-        return np.gradient(self.u, self.dr, axis=1, edge_order=2)
+    def ur(self, rows: slice | list[int] = slice(None)) -> np.ndarray:
+        """Second-order radial derivative of the snapshots `rows` (every one by default)."""
+        return np.gradient(self.u[rows], self.dr, axis=1, edge_order=2)
 
     def clean_radius(self, t: float) -> float:
         """Largest radius exactly independent of the outer-edge closure.
@@ -356,6 +359,12 @@ def _health_test(threshold: float) -> Callable[[np.ndarray], bool]:
     return healthy
 
 
+def _support(a: np.ndarray, b: np.ndarray, m: int) -> int:
+    """Rows up to the last with a set bit in a or b, levels of m interleaved runs."""
+    set_bits = np.flatnonzero(a.view(np.uint64) | b.view(np.uint64))
+    return int(set_bits[-1]) // m + 1 if set_bits.size else 0
+
+
 def _solve(fields: Sequence[RadialGridField], config: SolverConfig) -> list[Trajectory]:
     """Evolve fields that share a grid, lifted dimension and descriptor as one run.
 
@@ -454,24 +463,26 @@ def _solve(fields: Sequence[RadialGridField], config: SolverConfig) -> list[Traj
     if not healthy(first):
         raise blown_up()
 
-    # The numerical domain of dependence.  A row is +0 exactly when no bit
-    # of it is set; from row `support` on, u_0 and u_1 are +0 in every run.
-    # A row whose stencil inputs are all +0 steps to di (+0) + lo 0 + up 0
-    # (+ dt^2 F(+0)) - (+0) = +0 (di = 2 - 2 cfl^2 > 0 on rows j >= 1), so
-    # at step n every row from support + n on is still +0, which is what the
+    # The measured domain of dependence.  A row is +0 exactly when no bit
+    # of it is set.  A row whose stencil inputs are all +0 steps to
+    # di (+0) + lo 0 + up 0 (+ dt^2 F(+0)) - (+0) = +0 (di = 2 - 2 cfl^2 > 0
+    # on rows j >= 1), so if rows from s on are +0 in the two live levels
+    # of step n, rows from s + i on are +0 in level n + i, which is what the
     # full-width run writes there.  With extrapolated ghosts the stepper
-    # therefore updates only a window of rows that grows by _BLOCK rows every
-    # _BLOCK steps, and covers the grid once it comes within three rows of
-    # the edge (the ghost reads the last three); until then no ghost is
-    # formed, since no stepped row reads it.  Descriptor ghosts feed the last
-    # row from the start.
-    set_bits = np.flatnonzero(prev[1].view(np.uint64) | curr[1].view(np.uint64))
-    support = int(set_bits[-1]) // m + 1 if set_bits.size else 0
+    # therefore sets the window, at the start of each _BLOCK steps, to the
+    # support of the two live levels plus _BLOCK rows.  It never shrinks, so
+    # no buffer holds a set bit past it, and it covers the grid once it comes
+    # within three rows of the edge (the ghost reads the last three); until
+    # then no ghost is formed, since no stepped row reads it.  Far ahead of
+    # the light cone the values underflow to +0, so on long runs the support
+    # trails the n rows the front could have moved by hundreds of rows.
+    # Descriptor ghosts feed the last row from the start.
+    w = n_r if boundary is not None else 0
     n = 1
     while n <= n_steps:
-        if (n - 1) % _BLOCK == 0:
-            w = support + n + _BLOCK
-            if boundary is not None or w + 3 > n_r:
+        if w < n_r and (n - 1) % _BLOCK == 0:
+            w = max(w, _support(prev[1], curr[1], m) + _BLOCK)
+            if w + 3 > n_r:
                 w = n_r
             weights, prev, curr, nxt = window(w, prev[0], curr[0], nxt[0])
         rows = advance(weights, curr, nxt, n * dt)
@@ -556,28 +567,38 @@ def _check_clean(traj: Trajectory) -> None:
         rc = traj.clean_radius(t)
         if rc >= traj.config.r_max:
             continue
-        band = traj.r >= rc
-        scale = max(np.max(np.abs(u)), np.max(np.abs(ut)), 1e-300)
-        if np.max(np.abs(u[band])) > 1e-11 * scale or np.max(np.abs(ut[band])) > 1e-11 * scale:
+        j = int(np.searchsorted(traj.r, rc))  # the band r >= rc is rows j on
+        au, aut = np.abs(u), np.abs(ut)
+        limit = 1e-11 * max(np.max(au), np.max(aut), 1e-300)
+        if np.max(au[j:]) > limit or np.max(aut[j:]) > limit:
             raise NumericalError(
                 f"outer-edge contamination reaches the diagnostic region at t={t:g}; "
                 "enlarge r_max or supply descriptor ghosts"
             )
 
 
-def _moving_tail_integral(r: np.ndarray, a: float, integrand: np.ndarray) -> float:
-    """Trapezoid of integrand over [a, r[-1]] on the uniform grid r, interpolated at a."""
-    if a >= r[-1]:
-        return 0.0
+def _tail_integrals(r: np.ndarray, starts: Sequence[float], integrand: np.ndarray) -> list[float]:
+    """Trapezoid of integrand over [a, r[-1]] on the uniform grid r, interpolated at a, for each a in starts.
+
+    The trapezoid pairs are formed once, from the lowest start on, and each
+    integral sums a suffix of them: the same add.reduce over the same
+    values as np.trapezoid of that suffix.
+    """
     dr = float(r[1] - r[0])
-    if a <= r[0]:
-        return float(np.trapezoid(integrand, dx=dr))
-    j = int(np.searchsorted(r, a, side="left"))
-    total = float(np.trapezoid(integrand[j:], dx=dr)) if j < r.size - 1 else 0.0
-    if j >= 1 and r[j] > a:
-        f_a = integrand[j - 1] + (integrand[j] - integrand[j - 1]) * (a - r[j - 1]) / dr
-        total += 0.5 * (f_a + integrand[j]) * (r[j] - a)
-    return total
+    js = [0 if a <= r[0] else int(np.searchsorted(r, a, side="left")) for a in starts]
+    j0 = min(js, default=0)
+    pairs = dr * (integrand[j0 + 1 :] + integrand[j0:-1]) / 2.0
+    totals = []
+    for a, j in zip(starts, js):
+        if a >= r[-1]:
+            totals.append(0.0)
+            continue
+        total = float(np.add.reduce(pairs[j - j0 :]))
+        if j >= 1 and r[j] > a:
+            f_a = integrand[j - 1] + (integrand[j] - integrand[j - 1]) * (a - r[j - 1]) / dr
+            total += 0.5 * (f_a + integrand[j]) * (r[j] - a)
+        totals.append(total)
+    return totals
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,21 +622,29 @@ def cone_energy(traj: Trajectory, R: float) -> ConeEnergySeries:
     if R <= 0:
         raise ValueError("cone radius must be positive")
     _check_clean(traj)
+    return ConeEnergySeries(
+        times=traj.times.copy(),
+        values=_exterior_energies(traj, R, slice(None)),
+        truncated=traj.descriptor is None,
+    )
+
+
+def _exterior_energies(traj: Trajectory, R: float, rows: slice | list[int]) -> np.ndarray:
+    """cone_energy's values at the snapshots `rows`, without its checks.
+
+    A slice reads views of the stacks; a list of indices copies only those
+    snapshots.  One gradient serves them all, then the integrand is formed
+    row by row, so its temporaries stay one snapshot long.
+    """
     desc = traj.descriptor
-    # one gradient over the stack, then the integrand row by row, so its
-    # temporaries stay one snapshot long
     weight = traj.r ** (traj.lifted_dim - 1)
     vals = []
-    for t, ut, ur in zip(traj.times, traj.ut, traj.ur()):
-        e = _moving_tail_integral(traj.r, R + abs(t), (ut**2 + ur**2) * weight)
+    for t, ut, ur in zip(traj.times[rows], traj.ut[rows], traj.ur(rows)):
+        (e,) = _tail_integrals(traj.r, [R + abs(t)], (ut**2 + ur**2) * weight)
         if desc is not None:
             e += desc.exterior_energy(max(traj.config.r_max, R + abs(t)), t)
         vals.append(e)
-    return ConeEnergySeries(
-        times=traj.times.copy(),
-        values=np.asarray(vals),
-        truncated=desc is None,
-    )
+    return np.asarray(vals)
 
 
 def l6_tail(traj: Trajectory, radii: Sequence[float]) -> np.ndarray:
@@ -633,7 +662,7 @@ def l6_tail(traj: Trajectory, radii: Sequence[float]) -> np.ndarray:
     r2 = traj.r**2
     worst = np.zeros(len(radii))
     for t, u in zip(traj.times, traj.u):
-        integrand = 4.0 * math.pi * _sixth_power(u) * r2
-        for i, r in enumerate(radii):
-            worst[i] = max(worst[i], _moving_tail_integral(traj.r, r + abs(t), integrand))
+        tails = _tail_integrals(traj.r, [r + abs(t) for r in radii], 4.0 * math.pi * _sixth_power(u) * r2)
+        for i, tail in enumerate(tails):
+            worst[i] = max(worst[i], tail)
     return worst

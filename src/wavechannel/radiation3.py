@@ -23,7 +23,8 @@ from .radial_solver import (
     RadialGridField,
     SolverConfig,
     Trajectory,
-    cone_energy,
+    _check_clean,
+    _exterior_energies,
     solve_mode_linear,
     uniform_step,
 )
@@ -370,11 +371,13 @@ def channel_identity_check(
     E_+- are the Richardson limits, in 1/t, of the exterior cone energy
     at T, T/2, T/4 and T/8 (T = config.t_final) for the forward and
     time-reversed runs; each node must be a stored time up to rounding,
-    or NumericalError is raised.  One call of solve_mode_linear steps
-    both runs together, each bit for bit as a run of its own; the right side comes
-    from the forward map of the same initial data.  Both routes are
-    independent: one is quadrature on the evolved grid, the other is
-    algebra on the data.  A descriptor on `fld` supplies exact exterior
+    or NumericalError is raised.  The energy is integrated at those four
+    snapshots only, each value bit for bit cone_energy's there, while the
+    outer-edge contamination check still reads every stored snapshot.
+    One call of solve_mode_linear steps both runs together, each bit for
+    bit as a run of its own; the right side comes from the forward map of
+    the same initial data.  Both routes are independent: one is
+    quadrature on the evolved grid, the other is algebra on the data.  A descriptor on `fld` supplies exact exterior
     ghosts for both runs: lifted dimension 3 admits no velocity chain,
     so its chains are even in t and also describe the time-reversed
     data.
@@ -393,8 +396,8 @@ def channel_identity_check(
     )
 
     def limit_of(traj: Trajectory) -> float:
-        series = cone_energy(traj, R)
-        es = [series.values[_snapshot_index(traj.times, t)] for t in t_nodes]
+        _check_clean(traj)
+        es = _exterior_energies(traj, R, [_snapshot_index(traj.times, t) for t in t_nodes])
         return extrapolate_to_zero([1.0 / t for t in t_nodes], es)
 
     e_plus, e_minus = (limit_of(traj) for traj in runs)

@@ -9,10 +9,13 @@ are second constructions of the library's objects: Legendre P_n by
 Rodrigues' formula, both families' float three-term recurrences, and
 the radial exponent span from the power-law count.  The Sturm references
 are the library's root isolation written plainly, in ``Fraction`` long
-division and ``np.polyval`` bisection, for bit-for-bit comparison with
+division and a float Horner bisection, for bit-for-bit comparison with
 its integer form.  The leapfrog references are the radial stepper
 written plainly: once in the solver's own rounding order but on every
-row at every step, once in the centred-stencil order.  The chain references apply the wave operator
+row at every step, once in the centred-stencil order.  The tail
+reference is the moving-endpoint trapezoid that the grid diagnostics
+take, as np.trapezoid of each suffix afresh, for bit-for-bit comparison
+with their pairs formed once.  The chain references apply the wave operator
 and collect the cone energy in plain `Fraction` sums, and the envelope
 reference builds the extremal S one row at a time with a boolean mask,
 for bit-for-bit comparison with the integer and block forms.  The
@@ -296,6 +299,25 @@ def centred_leapfrog(initial, config) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return np.asarray(times), np.asarray(us), np.asarray(uts), blown_up
 
 
+def moving_tail_reference(r: np.ndarray, a: float, integrand: np.ndarray) -> float:
+    """Trapezoid of integrand over [a, r[-1]] on the uniform grid r, linearly interpolated at a.
+
+    np.trapezoid of the suffix from the first node >= a, plus the part
+    cell [a, that node], formed afresh for each a.
+    """
+    if a >= r[-1]:
+        return 0.0
+    dr = float(r[1] - r[0])
+    if a <= r[0]:
+        return float(np.trapezoid(integrand, dx=dr))
+    j = int(np.searchsorted(r, a, side="left"))
+    total = float(np.trapezoid(integrand[j:], dx=dr)) if j < r.size - 1 else 0.0
+    if r[j] > a:
+        f_a = integrand[j - 1] + (integrand[j] - integrand[j - 1]) * (a - r[j - 1]) / dr
+        total += 0.5 * (f_a + integrand[j]) * (r[j] - a)
+    return total
+
+
 def _divmod_reference(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """Quotient and remainder of a / b, coefficients lowest degree first."""
     quot = [Fraction(0)] * max(1, len(a) - len(b) + 1)
@@ -388,20 +410,28 @@ def isolate_real_roots_reference(chain, a: Fraction, b: Fraction, max_depth: int
 
 def refine_root_reference(coeffs, lo: Fraction, hi: Fraction) -> Fraction | float:
     """``hi`` if the coefficients vanish there (`Fraction` Horner); else 80
-    np.polyval bisection steps, keeping the half whose sign differs from that at ``hi``."""
+    bisection steps, keeping the half whose sign differs from that at ``hi``.
+
+    Each step evaluates the float coefficients by Horner's rule from
+    y = 0.0, y = y m + c, the float64 operations of np.polyval in its
+    order; a NaN value keeps the upper half, as np.sign's NaN would.
+    """
     hi_value = Fraction(0)
     for c in reversed(coeffs):
         hi_value = hi_value * hi + c
     if hi_value == 0:
         return hi
-    pf = np.asarray([float(c) for c in coeffs][::-1])
+    pf = [float(c) for c in reversed(coeffs)]
+    hi_positive = hi_value > 0
     a, b = float(lo), float(hi)
     for _ in range(80):
         m = 0.5 * (a + b)
-        fm = np.polyval(pf, m)
+        fm = 0.0
+        for c in pf:
+            fm = fm * m + c
         if fm == 0.0:
             return m
-        if np.sign(fm) == (1 if hi_value > 0 else -1):
+        if fm > 0.0 if hi_positive else fm < 0.0:
             b = m
         else:
             a = m

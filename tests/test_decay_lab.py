@@ -9,7 +9,7 @@ from wavechannel import decay_lab as dl
 from wavechannel import exterior_basis as eb
 from wavechannel import radial_solver as rs
 
-from oracles import worst_case_S_reference
+from oracles import moving_tail_reference, worst_case_S_reference
 
 
 class TestRecursionParams:
@@ -221,6 +221,15 @@ class TestPipeline:
         assert np.allclose(report.dr_u0_report.values, 1.0 / probes, rtol=1e-4)
         assert report.dr_u0_report.exponent == pytest.approx(1.0, abs=0.05)
         assert report.dr_u0_report.exponent == pytest.approx(1.0, abs=1e-3)
+
+    def test_gradient_tail_is_the_trapezoid_per_probe(self, report):
+        # bit for bit the tail of each probe formed on its own, plus the
+        # descriptor's tail past the grid
+        fld = one_over_r_field(72.0, 3601)
+        integrand = dl._initial_slope(fld) ** 2 * fld.r**2
+        beyond = fld.descriptor.exterior_energy(float(fld.r[-1]), 0.0)
+        want = [moving_tail_reference(fld.r, float(p), integrand) + beyond for p in report.dr_u0_report.r]
+        assert report.dr_u0_report.values.tolist() == want
 
     def test_gradient_tail_agrees_with_exact_route(self, report):
         fld = one_over_r_field(72.0, 3601)

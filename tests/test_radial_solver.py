@@ -8,7 +8,7 @@ from wavechannel import exterior_basis as eb
 from wavechannel import radial_solver as rs
 from wavechannel import radiation3 as rad
 
-from oracles import centred_leapfrog, compact_bump, folded_leapfrog
+from oracles import centred_leapfrog, compact_bump, folded_leapfrog, moving_tail_reference
 
 
 def one_over_r_mode(R=1.0):
@@ -202,6 +202,35 @@ def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def long_bump_run(nonlinearity="none"):
+    """1100 steps on 1201 nodes: the front underflows and trails the domain of dependence."""
+    cfg = rs.SolverConfig(r_max=120.0, n_r=1201, t_final=49.5, store_every=50, nonlinearity=nonlinearity)
+    return compact_bump(cfg, amplitude=0.5, support=4.0), cfg
+
+
+def long_radiating_pair():
+    """radiating_run's data and its time reversal, stepped 1100 steps."""
+    fld, _ = radiating_run()
+    cfg = rs.SolverConfig(r_max=40.0, n_r=1601, t_final=12.0, store_every=100)
+    return [rs.RadialGridField(r=fld.r, u=fld.u, ut=sign * fld.ut, lifted_dim=3) for sign in (1.0, -1.0)], cfg
+
+
+def assert_front_trails(fields, trajectories, cfg):
+    """The last snapshot's last set row lies more than a block behind initial support + n_steps.
+
+    Past about 500 steps the precursor ahead of the light cone underflows
+    to +0, so the window measured from the set bits is narrower than one
+    predicted from the initial support, and these runs step that window.
+    """
+    start = max(int(np.flatnonzero((f.u != 0.0) | (f.ut != 0.0))[-1]) + 1 for f in fields)
+    assert start + cfg.n_steps <= cfg.n_r
+    last = max(
+        int(np.flatnonzero(traj.u[-1].view(np.uint64) | traj.ut[-1].view(np.uint64))[-1])
+        for traj in trajectories
+    )
+    assert last < start + cfg.n_steps - rs._BLOCK
+
+
 class TestReferenceStepper:
     """The solver's snapshots equal a plain leapfrog that steps every row and calls eval every step.
 
@@ -219,6 +248,7 @@ class TestReferenceStepper:
         assert same_bits(traj.times, times)
         assert same_bits(traj.u, u)
         assert same_bits(traj.ut, ut)
+        return traj
 
     @pytest.mark.parametrize("d,nu,A,B", DESCRIPTOR_CASES)
     def test_descriptor_ghost_bit_for_bit(self, d, nu, A, B):
@@ -244,19 +274,34 @@ class TestReferenceStepper:
         fld = rs.RadialGridField(r=r, u=np.zeros_like(r), ut=np.full_like(r, ut_zero), lifted_dim=3)
         self.assert_same_run(fld, cfg)
 
-    # Rows [0, m) carry data and the first step reaches row m, so on
-    # n_r = 201 nodes the window covers the grid from the first step once
-    # m >= 133.  For m = 68, 69, 70 and 100 the front comes within three
-    # rows of the edge at offsets 0, 63, 62 and 32 of a 64-step block; for
-    # m = 7, 71 and 135 a window two rows narrower would end a block one
-    # row short of the edge while the ghost reads the front.
+    # Rows [0, m) carry data, so level n of u is set up to row m + n - 1
+    # (these runs are too short for the front to underflow), and the window
+    # set at the start of the block from step n, the support m + n of the
+    # live levels plus 64 rows, is exactly what the block's last step
+    # writes.  On n_r = 201 nodes it covers the grid from the first step
+    # once m >= 134.  The front reaches row 198, the first the ghost reads,
+    # at offsets 0, 63, 62 and 32 of a 64-step block for m = 69, 70, 71 and
+    # 101 (and 5, 6, 7 and 133, 134, 135); for m = 5, 69 and 133 the block
+    # before ends with a window of 198 rows, one row short of covering the
+    # grid.  With velocity_only level 1 is set one row less far, so
+    # m = 6, 70, 72, 102, 134 and 136 are those cases.
     @pytest.mark.parametrize(
-        "m", [1, 2, 7, 68, 69, 70, 71, 100, 131, 132, 133, 134, 135, 199, 200, 201]
+        "m",
+        [1, 2, 5, 6, 7, 8, 68, 69, 70, 71, 72, 100, 101, 102]
+        + [131, 132, 133, 134, 135, 136, 199, 200, 201],
     )
     @pytest.mark.parametrize("lifted_dim,velocity_only", [(3, False), (5, False), (3, True)])
     def test_window_reaching_the_edge(self, m, lifted_dim, velocity_only):
         cfg = rs.SolverConfig(r_max=20.0, n_r=201, t_final=12.0, store_every=1)
         self.assert_same_run(rows_bump(cfg, m, lifted_dim, velocity_only), cfg)
+
+    def test_front_trailing_the_domain_of_dependence(self):
+        fld, cfg = long_bump_run()
+        assert_front_trails([fld], [self.assert_same_run(fld, cfg)], cfg)
+
+    def test_quintic_front_trailing_the_domain_of_dependence(self):
+        fld, cfg = long_bump_run("defocusing_quintic")
+        assert_front_trails([fld], [self.assert_same_run(fld, cfg)], cfg)
 
     def test_lifted_blow_up(self):
         # D = 7 is unstable next to the origin (ROADMAP item 1): the run
@@ -336,6 +381,10 @@ class TestBatch:
         tail = fld.r > 13.0
         assert np.all(np.signbit(fields[1].ut[tail])) and not np.any(np.signbit(fields[0].ut[tail]))
         self.assert_same_batch(fields, cfg)
+
+    def test_time_reversed_pair_trailing_the_domain_of_dependence(self):
+        fields, cfg = long_radiating_pair()
+        assert_front_trails(fields, self.assert_same_batch(fields, cfg), cfg)
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_one_run_blowing_up_refuses_the_batch(self, order):
@@ -593,11 +642,27 @@ class TestConeEnergy:
         integrand = (traj.ut**2 + traj.ur() ** 2) * traj.r ** (traj.lifted_dim - 1)
         want = []
         for t, row in zip(traj.times, integrand):
-            e = rs._moving_tail_integral(traj.r, R + abs(t), row)
+            (e,) = rs._tail_integrals(traj.r, [R + abs(t)], row)
             if traj.descriptor is not None:
                 e += traj.descriptor.exterior_energy(max(traj.config.r_max, R + abs(t)), t)
             want.append(e)
-        assert np.array_equal(rs.cone_energy(traj, R).values, np.asarray(want))
+        values = rs.cone_energy(traj, R).values
+        assert np.array_equal(values, np.asarray(want))
+        # a subset of the snapshots integrates to the same values
+        rows = [traj.times.size - 1, 3, 0]
+        assert np.array_equal(rs._exterior_energies(traj, R, rows), values[rows])
+
+    def test_tail_integrals_equal_the_trapezoid_per_start(self):
+        # pairs formed once and summed from each start equal np.trapezoid of
+        # each suffix: starts off the grid, on a node, in the last cell, and
+        # in any order
+        rng = np.random.default_rng(5)
+        r = np.linspace(0.0, 12.0, 481)
+        integrand = rng.normal(size=r.size) * np.exp(rng.normal(size=r.size))
+        starts = [-1.0, 0.0, 12.0, 13.0, 3.0, 11.99, r[1], r[-2]] + rng.uniform(0.0, 12.0, 40).tolist()
+        for subset in (starts, starts[4:], starts[5:6]):
+            got = rs._tail_integrals(r, subset, integrand)
+            assert got == [moving_tail_reference(r, a, integrand) for a in subset]
 
 
 def frozen_one_over_r_trajectory(r_max=300.0, n_r=3001, t_half=16.0, n_t=161, lifted_dim=3):
@@ -653,6 +718,13 @@ class TestCriticalNormTails:
             assert b <= a + 1e-18
         # one pass over the snapshots gives each radius its own call's value
         assert tails.tolist() == [rs.l6_tail(traj, [r])[0] for r in radii]
+        # and the per-radius trapezoid of each snapshot's integrand, bit for bit
+        integrands = [4.0 * math.pi * ((u * u) * (u * u) * (u * u)) * traj.r**2 for u in traj.u]
+        want = [
+            max(moving_tail_reference(traj.r, r + abs(t), f) for t, f in zip(traj.times, integrands))
+            for r in radii
+        ]
+        assert tails.tolist() == want
         with pytest.raises(ValueError):
             rs.l6_tail(traj, [1.0, 0.0])
 

@@ -376,6 +376,23 @@ class TestChannelBatch:
             fld = rad.field_from_profile(channel_balance.band_limited_profile(rng), r)
             assert rad.channel_identity_check(fld, cfg, R=1.0) == identity_by_hand(fld, cfg, 1.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_limits_read_cone_energy_at_the_nodes(self, sign):
+        # the check integrates only the four Richardson snapshots, each bit
+        # for bit cone_energy's value there
+        cfg = channel_balance.snapped_config(40.0, 1601, 8.0)
+        base = rad.field_from_profile(channel_balance.band_limited_profile(np.random.default_rng(3)), cfg.radial_grid())
+        fld = rs.RadialGridField(r=base.r, u=base.u, ut=sign * base.ut, lifted_dim=3)
+        report = rad.channel_identity_check(fld, cfg, R=1.0)
+        nodes = [cfg.t_final / 2**j for j in range(4)]
+        limits = []
+        for traj in rs.solve_mode_linear([fld, rs.RadialGridField(r=fld.r, u=fld.u, ut=-fld.ut, lifted_dim=3)], cfg):
+            rows = [rad._snapshot_index(traj.times, t) for t in nodes]
+            assert rows == [8, 4, 2, 1] and traj.times.size == 9
+            values = rs.cone_energy(traj, 1.0).values
+            limits.append(rad.extrapolate_to_zero([1.0 / t for t in nodes], [values[k] for k in rows]))
+        assert [report.e_plus, report.e_minus] == limits
+
     def test_basis_data_as_two_separate_solves(self):
         mode = eb.build_exterior_mode(eb.ModeSpec(3, 0), 1.0, A=[1.0])
         cfg = channel_balance.snapped_config(8.0, 401, 128.0)
